@@ -8,6 +8,11 @@
  * by sequence number answers that in O(1); entries older than the
  * ring (far beyond the maximum dependence distance and ROB depth) are
  * treated as completed at time zero.
+ *
+ * The table also keeps an epoch that advances on every write. A
+ * reader that derived a wake-up time from readyTime() answers can
+ * reuse it for as long as the epoch is unchanged: no other call alters
+ * what readyTime() returns.
  */
 
 #ifndef MCDSIM_ARCH_COMPLETION_TABLE_HH
@@ -42,6 +47,7 @@ class CompletionTable
         e.seq = seq;
         e.completeTime = maxTick;
         e.domain = domain;
+        ++_epoch;
     }
 
     /** Record completion of @p seq at @p when. */
@@ -52,6 +58,7 @@ class CompletionTable
         MCDSIM_CHECK(e.seq == seq, "completion of evicted seq %llu",
                      static_cast<unsigned long long>(seq));
         e.completeTime = when;
+        ++_epoch;
     }
 
     /**
@@ -72,6 +79,9 @@ class CompletionTable
                                     : e.completeTime + cross_penalty;
     }
 
+    /** Number of beginInst() and complete() calls so far. */
+    std::uint64_t epoch() const { return _epoch; }
+
   private:
     struct Entry
     {
@@ -81,6 +91,7 @@ class CompletionTable
     };
 
     std::vector<Entry> ring;
+    std::uint64_t _epoch = 0;
 };
 
 } // namespace mcd

@@ -8,14 +8,17 @@
  * DVFS controllers monitor. Entries become selectable only after
  * their cross-domain visibility time (write time plus the
  * synchronization window) has passed.
+ *
+ * Storage is a fixed ring of capacity() slots holding the entries
+ * oldest first, so inserts and scans never allocate.
  */
 
 #ifndef MCDSIM_ARCH_ISSUE_QUEUE_HH
 #define MCDSIM_ARCH_ISSUE_QUEUE_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "arch/dyn_inst.hh"
 #include "common/check.hh"
@@ -35,14 +38,14 @@ class IssueQueue
 {
   public:
     IssueQueue(std::string queue_name, std::uint32_t capacity)
-        : _name(std::move(queue_name)), cap(capacity)
+        : _name(std::move(queue_name)), cap(capacity), slots(capacity)
     {
         MCDSIM_CHECK(capacity != 0, "zero-capacity issue queue");
     }
 
-    bool full() const { return entries.size() >= cap; }
-    bool empty() const { return entries.empty(); }
-    std::size_t occupancy() const { return entries.size(); }
+    bool full() const { return count >= cap; }
+    bool empty() const { return count == 0; }
+    std::size_t occupancy() const { return count; }
     std::uint32_t capacity() const { return cap; }
     const std::string &name() const { return _name; }
 
@@ -51,45 +54,70 @@ class IssueQueue
     insert(DynInst *inst)
     {
         MCDSIM_CHECK(!full(), "%s overflow", _name.c_str());
-        entries.push_back(inst);
-        MCDSIM_INVARIANT(entries.size() <= cap,
-                         "%s occupancy %zu exceeds capacity %u",
-                         _name.c_str(), entries.size(), cap);
-        if (entries.size() > _maxOccupancy)
-            _maxOccupancy = entries.size();
+        slot(count) = inst;
+        ++count;
+        MCDSIM_INVARIANT(count <= cap, "%s occupancy %u exceeds capacity %u",
+                         _name.c_str(), count, cap);
+        if (count > _maxOccupancy)
+            _maxOccupancy = count;
     }
 
     /**
-     * Oldest-first scan: invoke @p fn on each visible entry until it
-     * returns false (stop) or the queue is exhausted. @p fn may not
-     * mutate the queue; collect choices and call erase() after.
+     * Oldest-first scan of every entry, visible or not: invoke @p fn
+     * on each until it returns false (stop) or the queue is exhausted.
+     * @p fn may not mutate the queue; collect choices and call erase()
+     * after.
      */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::uint32_t i = 0; i < count; ++i) {
+            if (!fn(slot(i)))
+                return;
+        }
+    }
+
+    /** As forEach(), skipping entries not yet visible at @p now. */
     template <typename Fn>
     void
     forEachVisible(Tick now, Fn &&fn) const
     {
-        for (DynInst *inst : entries) {
-            if (inst->queueVisibleTime > now)
-                continue;
-            if (!fn(inst))
-                return;
-        }
+        forEach([&](DynInst *inst) {
+            return inst->queueVisibleTime > now || fn(inst);
+        });
     }
 
-    /** Remove a previously selected entry. */
+    /**
+     * Remove a previously selected entry, keeping the others in
+     * order. The shorter side of the ring closes the gap, so removing
+     * the oldest entry is O(1).
+     */
     void
     erase(DynInst *inst)
     {
-        for (auto it = entries.begin(); it != entries.end(); ++it) {
-            if (*it == inst) {
-                entries.erase(it);
-                return;
-            }
+        std::uint32_t i = 0;
+        while (i < count && slot(i) != inst)
+            ++i;
+        if (i == count)
+            panic("%s: erasing absent instruction", _name.c_str());
+        if (i < count / 2) {
+            for (; i > 0; --i)
+                slot(i) = slot(i - 1);
+            head = head + 1 == cap ? 0 : head + 1;
+        } else {
+            for (; i + 1 < count; ++i)
+                slot(i) = slot(i + 1);
         }
-        panic("%s: erasing absent instruction", _name.c_str());
+        --count;
     }
 
-    void clear() { entries.clear(); }
+    void
+    clear()
+    {
+        head = 0;
+        count = 0;
+    }
 
     /** High-water mark, for the evaluation tables. */
     std::size_t maxOccupancy() const { return _maxOccupancy; }
@@ -103,10 +131,27 @@ class IssueQueue
                        const std::string &prefix) const;
 
   private:
+    /** The @p i-th oldest entry's slot, for i < capacity(). */
+    DynInst *&
+    slot(std::uint32_t i)
+    {
+        const std::uint32_t at = head + i;
+        return slots[at < cap ? at : at - cap];
+    }
+
+    DynInst *
+    slot(std::uint32_t i) const
+    {
+        const std::uint32_t at = head + i;
+        return slots[at < cap ? at : at - cap];
+    }
+
     std::string _name;
     std::uint32_t cap;
-    std::deque<DynInst *> entries;
-    std::size_t _maxOccupancy = 0;
+    std::vector<DynInst *> slots;
+    std::uint32_t head = 0;  ///< slot of the oldest entry
+    std::uint32_t count = 0; ///< live entries
+    std::uint32_t _maxOccupancy = 0;
 };
 
 } // namespace mcd

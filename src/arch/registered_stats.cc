@@ -20,7 +20,7 @@ IssueQueue::registerStats(obs::StatsRegistry &reg,
                        [this] { return std::uint64_t(cap); });
     reg.addIntCallback(prefix + ".occupancy",
                        "occupancy at dump time, entries", [this] {
-                           return std::uint64_t(entries.size());
+                           return std::uint64_t(count);
                        });
     reg.addIntCallback(prefix + ".max_occupancy",
                        "occupancy high-water mark, entries", [this] {

@@ -20,12 +20,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -33,35 +27,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &s : state)
         s = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t
@@ -80,30 +45,6 @@ Rng::range(std::int64_t lo, std::int64_t hi)
     MCDSIM_CHECK(lo <= hi, "Rng::range with lo > hi");
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(below(span));
-}
-
-double
-Rng::gaussian()
-{
-    if (haveCachedGaussian) {
-        haveCachedGaussian = false;
-        return cachedGaussian;
-    }
-    double u1 = uniform();
-    double u2 = uniform();
-    while (u1 <= 1e-300)
-        u1 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    cachedGaussian = r * std::sin(theta);
-    haveCachedGaussian = true;
-    return r * std::cos(theta);
-}
-
-double
-Rng::gaussian(double mean, double sigma)
-{
-    return mean + sigma * gaussian();
 }
 
 bool
@@ -130,7 +71,7 @@ Rng::fork(std::uint64_t key) const
 {
     // Derive a child seed from the current state and the key without
     // disturbing this generator's own sequence.
-    std::uint64_t mix = state[0] ^ rotl(state[3], 23) ^ key;
+    std::uint64_t mix = state[0] ^ detail::rotl(state[3], 23) ^ key;
     return Rng(splitmix64(mix));
 }
 

@@ -10,10 +10,22 @@
 #ifndef MCDSIM_COMMON_RANDOM_HH
 #define MCDSIM_COMMON_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace mcd
 {
+
+namespace detail
+{
+
+inline std::uint64_t
+rotl(std::uint64_t x, int k)
+{
+    return (x << k) | (x >> (64 - k));
+}
+
+} // namespace detail
 
 /**
  * Xoshiro256** pseudo-random generator (Blackman & Vigna).
@@ -29,13 +41,32 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = detail::rotl(state[1] * 5, 7) * 9;
+        const std::uint64_t t = state[1] << 17;
+
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = detail::rotl(state[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
     /** Uniform integer in [0, n). @p n must be nonzero. */
     std::uint64_t below(std::uint64_t n);
@@ -44,10 +75,30 @@ class Rng
     std::int64_t range(std::int64_t lo, std::int64_t hi);
 
     /** Standard normal deviate (Box-Muller with caching). */
-    double gaussian();
+    double
+    gaussian()
+    {
+        if (haveCachedGaussian) {
+            haveCachedGaussian = false;
+            return cachedGaussian;
+        }
+        double u1 = uniform();
+        double u2 = uniform();
+        while (u1 <= 1e-300)
+            u1 = uniform();
+        const double r = std::sqrt(-2.0 * std::log(u1));
+        const double theta = 2.0 * M_PI * u2;
+        cachedGaussian = r * std::sin(theta);
+        haveCachedGaussian = true;
+        return r * std::cos(theta);
+    }
 
     /** Normal deviate with given mean and standard deviation. */
-    double gaussian(double mean, double sigma);
+    double
+    gaussian(double mean, double sigma)
+    {
+        return mean + sigma * gaussian();
+    }
 
     /** Bernoulli trial with success probability @p p. */
     bool chance(double p);

@@ -125,16 +125,12 @@ McdProcessor::McdProcessor(const SimConfig &config, WorkloadSource &source)
     eq.reserve(2 * numDomains + 2);
 
     // Wire the per-edge work and launch the clocks and the sampler.
-    domains[0]->start([this] { frontEndTick(); });
-    domains[1]->start([this] {
-        clusterTick(DomainId::Int, intQ, intFus, cfg.intIssueWidth);
-    });
-    domains[2]->start([this] {
-        clusterTick(DomainId::Fp, fpQ, fpFus, cfg.fpIssueWidth);
-    });
-    domains[3]->start([this] { loadStoreTick(); });
+    domains[0]->start(edgeThunk<&McdProcessor::frontEndTick>, this);
+    domains[1]->start(edgeThunk<&McdProcessor::intTick>, this);
+    domains[2]->start(edgeThunk<&McdProcessor::fpTick>, this);
+    domains[3]->start(edgeThunk<&McdProcessor::loadStoreTick>, this);
     if (cfg.fiveDomainPartition)
-        domains[4]->start([this] { fetchTick(); });
+        domains[4]->start(edgeThunk<&McdProcessor::fetchTick>, this);
     eq.schedule(&sampler, samplingPeriod);
 
     // Observability wiring: attach the trace sink (components cache
@@ -287,12 +283,6 @@ McdProcessor::retiredInstructions() const
     return reorderBuffer.retiredCount();
 }
 
-Tick
-McdProcessor::crossPenalty() const
-{
-    return cfg.mcdEnabled ? cfg.syncWindow : 0;
-}
-
 DomainId
 McdProcessor::domainFor(InstClass cls) const
 {
@@ -311,32 +301,6 @@ McdProcessor::queueFor(InstClass cls)
       case DomainId::LoadStore: return lsQ;
       default: return intQ;
     }
-}
-
-DvfsDriver *
-McdProcessor::driverFor(DomainId dom)
-{
-    for (std::size_t i = 0; i < 3; ++i) {
-        if (controlledDomains[i] == dom)
-            return drivers[i].get();
-    }
-    return nullptr;
-}
-
-Tick
-McdProcessor::srcReadyTime(const DynInst &inst, DomainId consumer) const
-{
-    Tick ready = 0;
-    for (int i = 0; i < 2; ++i) {
-        const std::uint16_t dist = inst.in.srcDist[i];
-        if (dist == 0 || dist >= inst.seq)
-            continue;
-        const Tick t = completion.readyTime(inst.seq - dist, consumer,
-                                            crossPenalty());
-        if (t > ready)
-            ready = t;
-    }
-    return ready;
 }
 
 // ---------------------------------------------------------------- front end
@@ -653,53 +617,114 @@ McdProcessor::dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle)
 
 // ---------------------------------------------------------------- clusters
 
+#if MCDSIM_DCHECK_IS_ON
 void
-McdProcessor::clusterTick(DomainId dom, IssueQueue &queue, ClusterFus &fus,
-                          std::uint32_t width)
+McdProcessor::checkSkippedSelect(const IssueQueue &queue, DomainId dom,
+                                 Tick now) const
+{
+    queue.forEachVisible(now, [&](DynInst *inst) {
+        MCDSIM_DCHECK(srcReadyTime(*inst, dom) > now,
+                      "%s: select memo skipped ready seq %llu at %llu",
+                      queue.name().c_str(),
+                      static_cast<unsigned long long>(inst->seq),
+                      static_cast<unsigned long long>(now));
+        return true;
+    });
+}
+#endif
+
+template <typename TryIssue>
+unsigned
+McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
+                     TryIssue &&try_issue)
 {
     const Tick now = eq.now();
-    ClockDomain &d = *domains[static_cast<std::size_t>(dom)];
-    DvfsDriver *drv = driverFor(dom);
+    const DomainId dom = controlledDomains[ctl];
+    SelectMemo &memo = selectMemo[ctl];
 
-    unsigned issued = 0;
-    DynInst *selected[16];
-    std::size_t n_selected = 0;
-
-    const bool stalled = drv != nullptr && drv->stalled(now);
-    if (!stalled) {
-        queue.forEachVisible(now, [&](DynInst *inst) {
-            if (issued >= width || n_selected >= std::size(selected))
-                return false;
-            if (srcReadyTime(*inst, dom) > now)
-                return true; // operands pending: try younger entries
-            FuPool &pool = fus.poolFor(inst->in.cls);
-            if (!pool.available(now))
-                return true;
-
-            const unsigned lat = instLatency(inst->in.cls);
-            const Tick complete = now + Tick(lat) * d.period();
-            pool.acquire(now, ClusterFus::blocking(inst->in.cls)
-                                  ? complete
-                                  : now + d.period());
-            inst->issued = true;
-            inst->issueTime = now;
-            inst->completeTime = complete;
-            completion.complete(inst->seq, complete);
-            selected[n_selected++] = inst;
-            ++issued;
-
-            const auto &ec = energy.config();
-            const bool muldiv = &pool == &fus.muldiv;
-            const double e =
-                isFp(inst->in.cls)
-                    ? (muldiv ? ec.fpMulDivOp : ec.fpAluOp)
-                    : (muldiv ? ec.intMulDivOp : ec.intAluOp);
-            energy.addEvent(dom, EnergyCategory::Execute, e, d.voltage());
-            return true;
-        });
-        for (std::size_t i = 0; i < n_selected; ++i)
-            queue.erase(selected[i]);
+    // Mid-transition: the cluster issues nothing this edge.
+    if (drivers[ctl]->stalled(now))
+        return 0;
+    if (memo.holds(now, completion.epoch())) {
+#if MCDSIM_DCHECK_IS_ON
+        checkSkippedSelect(queue, dom, now);
+#endif
+        return 0;
     }
+
+    DynInst *selected[16];
+    unsigned issued = 0;
+    Tick wake = maxTick;
+    bool found_ready = false;
+    queue.forEach([&](DynInst *inst) {
+        if (inst->queueVisibleTime > now) {
+            wake = std::min(wake, inst->queueVisibleTime);
+            return true;
+        }
+        if (issued >= width || issued >= std::size(selected)) {
+            found_ready = true; // stopped early: the scan proves nothing
+            return false;
+        }
+        const Tick ready = srcReadyTime(*inst, dom);
+        if (ready > now) {
+            wake = std::min(wake, ready);
+            return true; // operands pending: try younger entries
+        }
+        found_ready = true;
+        if (try_issue(inst))
+            selected[issued++] = inst;
+        return true;
+    });
+    for (unsigned i = 0; i < issued; ++i)
+        queue.erase(selected[i]);
+    memo = found_ready ? SelectMemo{} : SelectMemo{wake, completion.epoch()};
+    return issued;
+}
+
+void
+McdProcessor::intTick()
+{
+    clusterTick(0, intQ, intFus, cfg.intIssueWidth);
+}
+
+void
+McdProcessor::fpTick()
+{
+    clusterTick(1, fpQ, fpFus, cfg.fpIssueWidth);
+}
+
+void
+McdProcessor::clusterTick(std::size_t ctl, IssueQueue &queue,
+                          ClusterFus &fus, std::uint32_t width)
+{
+    const Tick now = eq.now();
+    const DomainId dom = controlledDomains[ctl];
+    ClockDomain &d = *domains[static_cast<std::size_t>(dom)];
+
+    const auto try_issue = [&](DynInst *inst) {
+        FuPool &pool = fus.poolFor(inst->in.cls);
+        if (!pool.available(now))
+            return false;
+
+        const unsigned lat = instLatency(inst->in.cls);
+        const Tick complete = now + Tick(lat) * d.period();
+        pool.acquire(now, ClusterFus::blocking(inst->in.cls)
+                              ? complete
+                              : now + d.period());
+        inst->issued = true;
+        inst->issueTime = now;
+        inst->completeTime = complete;
+        completion.complete(inst->seq, complete);
+
+        const auto &ec = energy.config();
+        const bool muldiv = &pool == &fus.muldiv;
+        const double e = isFp(inst->in.cls)
+                             ? (muldiv ? ec.fpMulDivOp : ec.fpAluOp)
+                             : (muldiv ? ec.intMulDivOp : ec.intAluOp);
+        energy.addEvent(dom, EnergyCategory::Execute, e, d.voltage());
+        return true;
+    };
+    const unsigned issued = select(ctl, queue, width, try_issue);
 
     if (queue.occupancy() > 0) {
         energy.addEvent(dom, EnergyCategory::IssueQueue,
@@ -714,67 +739,48 @@ McdProcessor::loadStoreTick()
 {
     const Tick now = eq.now();
     ClockDomain &d = *domains[static_cast<std::size_t>(DomainId::LoadStore)];
-    DvfsDriver *drv = driverFor(DomainId::LoadStore);
 
     // Retire completed misses from the MSHRs.
     std::erase_if(outstandingMisses, [now](Tick t) { return t <= now; });
 
-    unsigned issued = 0;
-    DynInst *selected[16];
-    std::size_t n_selected = 0;
+    const auto &ec = energy.config();
+    const auto try_issue = [&](DynInst *inst) {
+        const bool is_load = inst->in.cls == InstClass::Load;
+        if (is_load && outstandingMisses.size() >= cfg.mshrCount)
+            return false; // no MSHR for a potential miss
 
-    const bool stalled = drv != nullptr && drv->stalled(now);
-    if (!stalled) {
-        const auto &ec = energy.config();
-        lsQ.forEachVisible(now, [&](DynInst *inst) {
-            if (issued >= cfg.lsIssueWidth ||
-                n_selected >= std::size(selected)) {
-                return false;
-            }
-            if (srcReadyTime(*inst, DomainId::LoadStore) > now)
-                return true;
-            const bool is_load = inst->in.cls == InstClass::Load;
-            if (is_load && outstandingMisses.size() >= cfg.mshrCount)
-                return true; // no MSHR for a potential miss
-
-            Tick complete;
-            if (is_load) {
-                const MemAccessResult res = mem.dataAccess(inst->in.addr);
-                const Tick base =
-                    now + Tick(1 + cfg.l1dHitCycles) * d.period();
+        Tick complete;
+        if (is_load) {
+            const MemAccessResult res = mem.dataAccess(inst->in.addr);
+            const Tick base = now + Tick(1 + cfg.l1dHitCycles) * d.period();
+            energy.addEvent(DomainId::LoadStore, EnergyCategory::Cache,
+                            ec.l1AccessEnergy, d.voltage());
+            if (res.level != MemLevel::L1) {
                 energy.addEvent(DomainId::LoadStore, EnergyCategory::Cache,
-                                ec.l1AccessEnergy, d.voltage());
-                if (res.level != MemLevel::L1) {
-                    energy.addEvent(DomainId::LoadStore,
-                                    EnergyCategory::Cache,
-                                    ec.l2AccessEnergy, d.voltage());
-                    complete = base + res.beyondL1Latency;
-                    outstandingMisses.push_back(complete);
-                    inst->l1dMiss = true;
-                } else {
-                    complete = base;
-                }
+                                ec.l2AccessEnergy, d.voltage());
+                complete = base + res.beyondL1Latency;
+                outstandingMisses.push_back(complete);
+                inst->l1dMiss = true;
             } else {
-                // Store: completes at address generation; the store
-                // buffer hides the write latency. Tag access still
-                // costs energy (write-allocate).
-                mem.dataAccess(inst->in.addr);
-                energy.addEvent(DomainId::LoadStore, EnergyCategory::Cache,
-                                ec.l1AccessEnergy, d.voltage());
-                complete = now + d.period();
+                complete = base;
             }
+        } else {
+            // Store: completes at address generation; the store
+            // buffer hides the write latency. Tag access still
+            // costs energy (write-allocate).
+            mem.dataAccess(inst->in.addr);
+            energy.addEvent(DomainId::LoadStore, EnergyCategory::Cache,
+                            ec.l1AccessEnergy, d.voltage());
+            complete = now + d.period();
+        }
 
-            inst->issued = true;
-            inst->issueTime = now;
-            inst->completeTime = complete;
-            completion.complete(inst->seq, complete);
-            selected[n_selected++] = inst;
-            ++issued;
-            return true;
-        });
-        for (std::size_t i = 0; i < n_selected; ++i)
-            lsQ.erase(selected[i]);
-    }
+        inst->issued = true;
+        inst->issueTime = now;
+        inst->completeTime = complete;
+        completion.complete(inst->seq, complete);
+        return true;
+    };
+    const unsigned issued = select(2, lsQ, cfg.lsIssueWidth, try_issue);
 
     if (lsQ.occupancy() > 0) {
         energy.addEvent(DomainId::LoadStore, EnergyCategory::IssueQueue,

@@ -34,6 +34,7 @@
 #ifndef MCDSIM_CORE_MCD_PROCESSOR_HH
 #define MCDSIM_CORE_MCD_PROCESSOR_HH
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -108,14 +109,65 @@ class McdProcessor
         McdProcessor &proc;
     };
 
+    /**
+     * Issue-select memo of one cluster queue. A full scan that found
+     * no entry both visible and operand-ready records the earliest
+     * tick at which one could become so (the minimum over entries of
+     * the visibility time, or of the known operand-ready time once
+     * visible) and the completion-table epoch it read. While now is
+     * before that tick and the epoch is unchanged, a scan would issue
+     * nothing, so the edge skips it. Any dispatch or issue advances
+     * the epoch; a scan that found a ready entry records nothing.
+     */
+    struct SelectMemo
+    {
+        Tick wakeTick = 0;
+        std::uint64_t epoch = 0;
+
+        bool
+        holds(Tick now, std::uint64_t current_epoch) const
+        {
+            return now < wakeTick && current_epoch == epoch;
+        }
+    };
+
+    /** Per-edge work as a plain function for ClockDomain::start(). */
+    template <void (McdProcessor::*Work)()>
+    static void
+    edgeThunk(void *self)
+    {
+        (static_cast<McdProcessor *>(self)->*Work)();
+    }
+
     /** @{ Per-domain edge work. */
     void frontEndTick();
     void fetchTick(); ///< 5-domain partition only
-    void clusterTick(DomainId dom, IssueQueue &queue, ClusterFus &fus,
+    void intTick();
+    void fpTick();
+    /** @p ctl indexes controlledDomains (0 = INT, 1 = FP). */
+    void clusterTick(std::size_t ctl, IssueQueue &queue, ClusterFus &fus,
                      std::uint32_t width);
     void loadStoreTick();
     void samplerTick();
     /** @} */
+
+    /**
+     * Oldest-first issue select over @p queue of controlled domain
+     * @p ctl, through its SelectMemo. @p try_issue is offered each
+     * visible, operand-ready entry, up to @p width issues; it issues
+     * the entry and returns true, or returns false when a unit or an
+     * MSHR is busy. Issued entries leave the queue. Returns the
+     * number issued.
+     */
+    template <typename TryIssue>
+    unsigned select(std::size_t ctl, IssueQueue &queue, unsigned width,
+                    TryIssue &&try_issue);
+
+#if MCDSIM_DCHECK_IS_ON
+    /** Reference scan on a memo-skipped edge: nothing may be ready. */
+    void checkSkippedSelect(const IssueQueue &queue, DomainId dom,
+                            Tick now) const;
+#endif
 
     void retireStage(Tick now, unsigned &retired_this_cycle);
     void dispatchStage(Tick now, unsigned &dispatched_this_cycle);
@@ -128,11 +180,30 @@ class McdProcessor
      * dispatch path and the 5-domain fetch path.
      */
     bool evaluateBranch(const TraceInst &in);
-    Tick srcReadyTime(const DynInst &inst, DomainId consumer) const;
+
+    /**
+     * Time both source operands of @p inst are usable in @p consumer;
+     * maxTick while a producer has not issued.
+     */
+    Tick
+    srcReadyTime(const DynInst &inst, DomainId consumer) const
+    {
+        Tick ready = 0;
+        for (int i = 0; i < 2; ++i) {
+            const std::uint16_t dist = inst.in.srcDist[i];
+            if (dist == 0 || dist >= inst.seq)
+                continue;
+            const Tick t = completion.readyTime(inst.seq - dist, consumer,
+                                                crossPenalty());
+            if (t > ready)
+                ready = t;
+        }
+        return ready;
+    }
+
     IssueQueue &queueFor(InstClass cls);
     DomainId domainFor(InstClass cls) const;
-    DvfsDriver *driverFor(DomainId dom);
-    Tick crossPenalty() const;
+    Tick crossPenalty() const { return cfg.mcdEnabled ? cfg.syncWindow : 0; }
     void finalizeEnergy();
     SimResult collectResult();
 
@@ -163,6 +234,7 @@ class McdProcessor
     ClusterFus intFus;
     ClusterFus fpFus;
     CompletionTable completion;
+    std::array<SelectMemo, 3> selectMemo{}; // INT, FP, LS
 
     SamplerEvent sampler;
     Tick samplingPeriod;

@@ -174,7 +174,7 @@ spinFor(std::uint64_t iterations)
 {
     volatile std::uint64_t acc = 0;
     for (std::uint64_t i = 0; i < iterations; ++i)
-        acc += i;
+        acc = acc + i;
     (void)acc;
 }
 

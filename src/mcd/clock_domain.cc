@@ -41,14 +41,29 @@ ClockDomain::ClockDomain(EventQueue &queue, const Config &config)
 }
 
 void
-ClockDomain::start(std::function<void()> on_edge)
+ClockDomain::start(EdgeFn fn, void *ctx)
 {
     MCDSIM_CHECK(!started, "domain %s started twice", name());
     started = true;
-    onEdge = std::move(on_edge);
+    onEdge = fn;
+    onEdgeCtx = ctx;
     lastIdealEdge = eq.now();
     lastVoltAccrual = eq.now();
     scheduleNextEdge();
+}
+
+void
+ClockDomain::start(std::function<void()> on_edge)
+{
+    MCDSIM_CHECK(!started, "domain %s started twice", name());
+    onEdgeCallable = std::move(on_edge);
+    if (!onEdgeCallable) {
+        start(nullptr, nullptr);
+        return;
+    }
+    start([](void *self) {
+        static_cast<ClockDomain *>(self)->onEdgeCallable();
+    }, this);
 }
 
 void
@@ -86,7 +101,7 @@ ClockDomain::edge()
         edgeTrace->clockEdge(eq.now(), cfg.id, cycles);
     accrueVoltageTime();
     if (onEdge)
-        onEdge();
+        onEdge(onEdgeCtx);
     scheduleNextEdge();
 }
 

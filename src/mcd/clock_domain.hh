@@ -82,7 +82,17 @@ class ClockDomain : public FrequencyActuator
 
     ClockDomain(EventQueue &queue, const Config &config);
 
-    /** Register the per-edge work and schedule the first edge. */
+    /** Per-edge work as a plain function of an opaque context. */
+    using EdgeFn = void (*)(void *);
+
+    /**
+     * Register the per-edge work, fn(ctx) (fn may be null), and
+     * schedule the first edge. This is the edge hot path: one
+     * indirect call per edge.
+     */
+    void start(EdgeFn fn, void *ctx);
+
+    /** As above, for any callable (held here, called through a thunk). */
     void start(std::function<void()> on_edge);
 
     /** @{ Current operating point. */
@@ -168,7 +178,9 @@ class ClockDomain : public FrequencyActuator
     Rng jitter;
 
     EdgeEvent edgeEvent;
-    std::function<void()> onEdge;
+    EdgeFn onEdge = nullptr;
+    void *onEdgeCtx = nullptr;
+    std::function<void()> onEdgeCallable; ///< for start(std::function)
     std::uint64_t cycles = 0;
     Tick lastIdealEdge = 0;
     Tick nextIdealEdge = 0;

@@ -13,54 +13,24 @@ namespace mcd
 Event::~Event() = default;
 
 void
-EventQueue::schedule(Event *ev, Tick when)
+EventQueue::push(const Entry &entry)
 {
-    MCDSIM_CHECK(ev != nullptr, "scheduling null event");
-    MCDSIM_CHECK(!ev->_scheduled, "event '%s' double-scheduled", ev->name());
-    MCDSIM_CHECK(when >= _now,
-                 "event '%s' scheduled in the past (%llu < %llu)", ev->name(),
-                 static_cast<unsigned long long>(when),
-                 static_cast<unsigned long long>(_now));
-
-    ev->_when = when;
-    ev->_seq = nextSeq++;
-    ev->_scheduled = true;
-    ev->_squashed = false;
-
-    if (topPending) {
-        if (ev == dispatching) {
-            // Fused pop+reschedule: the dispatched entry still sits
-            // at the root (it is <= every other key, since later
-            // insertions at the same tick get larger sequence
-            // numbers), so the new key can overwrite it in place and
-            // settle with a single sift-down.
-            topPending = false;
-            heap.front() = Entry{when, ev->priority(), ev->_seq, ev};
-            siftDown(0);
-#if MCDSIM_DCHECK_IS_ON
-            MCDSIM_DCHECK(heapOrdered(),
-                          "heap order after fused reschedule");
-#endif
-            return;
-        }
-        // Some other event is being scheduled first: the stale root
-        // must leave the heap before a sift-up may trust ancestor
-        // comparisons (a same-tick, lower-priority insertion would
-        // otherwise stop above the wrong entry).
-        finishPendingRemoval();
-    }
-
-    heap.push_back(Entry{when, ev->priority(), ev->_seq, ev});
+    // Some other event is being scheduled first: the stale root must
+    // leave the heap before a sift-up may trust ancestor comparisons
+    // (a same-tick, lower-priority insertion would otherwise stop
+    // above the wrong entry).
+    finishPendingRemoval();
+    heap.push_back(entry);
     siftUp(heap.size() - 1);
 }
 
 void
 EventQueue::removeTop()
 {
-    heap.front() = heap.back();
+    const Entry last = heap.back();
     heap.pop_back();
     if (!heap.empty())
-        siftDown(0);
+        siftDown(0, last);
 }
 
 bool
@@ -163,32 +133,37 @@ EventQueue::heapOrdered() const
 void
 EventQueue::siftUp(std::size_t i)
 {
+    const Entry moving = heap[i];
     while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
-        if (!(heap[parent] > heap[i]))
+        const std::size_t parent = (i - 1) / 2;
+        if (!(heap[parent] > moving))
             break;
-        std::swap(heap[parent], heap[i]);
+        heap[i] = heap[parent];
         i = parent;
     }
+    heap[i] = moving;
 }
 
 void
-EventQueue::siftDown(std::size_t i)
+EventQueue::siftDown(std::size_t i, const Entry &moving)
 {
+    // Hole method: children move up into the hole until @p moving
+    // fits, then it is written once. Keys are unique (the sequence
+    // number breaks every tie), so the layout matches a swap-based
+    // sift exactly.
     const std::size_t n = heap.size();
     while (true) {
-        std::size_t left = 2 * i + 1;
-        std::size_t right = left + 1;
-        std::size_t smallest = i;
-        if (left < n && heap[smallest] > heap[left])
-            smallest = left;
-        if (right < n && heap[smallest] > heap[right])
-            smallest = right;
-        if (smallest == i)
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
             break;
-        std::swap(heap[i], heap[smallest]);
-        i = smallest;
+        if (child + 1 < n)
+            child += heap[child] > heap[child + 1];
+        if (!(moving > heap[child]))
+            break;
+        heap[i] = heap[child];
+        i = child;
     }
+    heap[i] = moving;
 }
 
 } // namespace mcd

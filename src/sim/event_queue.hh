@@ -137,7 +137,38 @@ class EventQueue
      * assigned exactly as on the slow path, so dispatch order — and
      * therefore simulation output — is identical.
      */
-    void schedule(Event *ev, Tick when);
+    void
+    schedule(Event *ev, Tick when)
+    {
+        MCDSIM_CHECK(ev != nullptr, "scheduling null event");
+        MCDSIM_CHECK(!ev->_scheduled, "event '%s' double-scheduled",
+                     ev->name());
+        MCDSIM_CHECK(when >= _now,
+                     "event '%s' scheduled in the past (%llu < %llu)",
+                     ev->name(), static_cast<unsigned long long>(when),
+                     static_cast<unsigned long long>(_now));
+
+        ev->_when = when;
+        ev->_seq = nextSeq++;
+        ev->_scheduled = true;
+        ev->_squashed = false;
+        const Entry entry{when, ev->_priority, ev->_seq, ev};
+
+        if (ev == dispatching && topPending) {
+            // Fused pop+reschedule: the dispatched entry still sits at
+            // the root (it is <= every other key, since later
+            // insertions at the same tick get larger sequence
+            // numbers), so the new key can take its place and settle
+            // with a single sift-down.
+            topPending = false;
+            siftDown(0, entry);
+#if MCDSIM_DCHECK_IS_ON
+            MCDSIM_DCHECK(heapOrdered(), "heap order after fused reschedule");
+#endif
+            return;
+        }
+        push(entry);
+    }
 
     /** Pre-size the heap so steady-state runs never reallocate. */
     void reserve(std::size_t capacity) { heap.reserve(capacity); }
@@ -195,8 +226,13 @@ class EventQueue
         }
     };
 
+    /** Slow path of schedule(): insert @p entry with a sift-up. */
+    void push(const Entry &entry);
+
     void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
+
+    /** Place @p moving at hole @p i and sift it down to its slot. */
+    void siftDown(std::size_t i, const Entry &moving);
 
     /** Remove the root entry (swap-with-back + one sift-down). */
     void removeTop();

@@ -62,6 +62,31 @@ TEST(CompletionTable, FutureCompletionTimeSupported)
     EXPECT_EQ(ct.readyTime(9, DomainId::Fp, 0), 123456789u);
 }
 
+TEST(CompletionTable, EpochAdvancesOnBeginAndComplete)
+{
+    CompletionTable ct(64);
+    EXPECT_EQ(ct.epoch(), 0u);
+    ct.beginInst(1, DomainId::Int);
+    EXPECT_EQ(ct.epoch(), 1u);
+    ct.complete(1, 500);
+    EXPECT_EQ(ct.epoch(), 2u);
+    ct.beginInst(2, DomainId::LoadStore);
+    ct.beginInst(3, DomainId::Fp);
+    EXPECT_EQ(ct.epoch(), 4u);
+}
+
+TEST(CompletionTable, EpochUnchangedByReads)
+{
+    CompletionTable ct(64);
+    ct.beginInst(4, DomainId::Int);
+    ct.complete(4, 700);
+    const std::uint64_t before = ct.epoch();
+    EXPECT_EQ(ct.readyTime(4, DomainId::Int, 300), 700u);
+    EXPECT_EQ(ct.readyTime(4, DomainId::Fp, 300), 1000u);
+    EXPECT_EQ(ct.readyTime(99, DomainId::Int, 300), 0u);
+    EXPECT_EQ(ct.epoch(), before);
+}
+
 TEST(CompletionTableDeath, NonPow2CapacityRejected)
 {
     EXPECT_DEATH(CompletionTable(100), "power of 2");

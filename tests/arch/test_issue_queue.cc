@@ -124,6 +124,112 @@ TEST(IssueQueue, ClearEmpties)
     EXPECT_TRUE(q.empty());
 }
 
+/** Sequence numbers of every entry, oldest first. */
+std::vector<InstSeqNum>
+contents(const IssueQueue &q)
+{
+    std::vector<InstSeqNum> seen;
+    q.forEach([&](DynInst *inst) {
+        seen.push_back(inst->seq);
+        return true;
+    });
+    return seen;
+}
+
+TEST(IssueQueue, ForEachIncludesInvisibleEntries)
+{
+    IssueQueue q("q", 4);
+    DynInst a = makeInst(1, 500), b = makeInst(2, 0);
+    q.insert(&a);
+    q.insert(&b);
+    EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{1, 2}));
+}
+
+TEST(IssueQueue, RingWrapsAroundKeepingOrder)
+{
+    // Retire from the head and refill at the tail many times over, so
+    // the live window crosses the end of the slot array repeatedly.
+    IssueQueue q("q", 3);
+    std::vector<DynInst> insts(12);
+    for (std::size_t i = 0; i < insts.size(); ++i)
+        insts[i] = makeInst(i + 1, 0);
+    q.insert(&insts[0]);
+    q.insert(&insts[1]);
+    for (std::size_t next = 2; next < insts.size(); ++next) {
+        q.insert(&insts[next]);
+        EXPECT_TRUE(q.full());
+        EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{next - 1, next,
+                                                         next + 1}));
+        q.erase(&insts[next - 2]);
+    }
+    EXPECT_EQ(q.occupancy(), 2u);
+}
+
+TEST(IssueQueue, EraseFromMiddleKeepsOldestFirstOrder)
+{
+    // Erase near the head (the older side closes the gap) and near
+    // the tail (the younger side does), across a wrapped window.
+    IssueQueue q("q", 6);
+    std::vector<DynInst> insts(10);
+    for (std::size_t i = 0; i < insts.size(); ++i)
+        insts[i] = makeInst(i + 1, 0);
+    for (std::size_t i = 0; i < 4; ++i)
+        q.insert(&insts[i]);
+    q.erase(&insts[0]);
+    q.erase(&insts[1]); // head now mid-array
+    for (std::size_t i = 4; i < 8; ++i)
+        q.insert(&insts[i]); // window wraps: seqs 3..8
+    EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{3, 4, 5, 6, 7, 8}));
+
+    q.erase(&insts[3]); // second oldest
+    EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{3, 5, 6, 7, 8}));
+    q.erase(&insts[6]); // second youngest
+    EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{3, 5, 6, 8}));
+    q.erase(&insts[4]); // middle
+    EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{3, 6, 8}));
+
+    q.insert(&insts[8]);
+    q.insert(&insts[9]);
+    EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{3, 6, 8, 9, 10}));
+}
+
+TEST(IssueQueue, FullEmptyCycle)
+{
+    IssueQueue q("q", 2);
+    DynInst a = makeInst(1, 0), b = makeInst(2, 0), c = makeInst(3, 0);
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_TRUE(q.empty());
+        EXPECT_FALSE(q.full());
+        q.insert(&a);
+        q.insert(&b);
+        EXPECT_TRUE(q.full());
+        EXPECT_FALSE(q.empty());
+        q.erase(&b);
+        q.insert(&c);
+        EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{1, 3}));
+        q.erase(&a);
+        q.erase(&c);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.maxOccupancy(), 2u);
+}
+
+TEST(IssueQueue, MaxOccupancySurvivesClear)
+{
+    IssueQueue q("q", 4);
+    DynInst insts[3];
+    for (int i = 0; i < 3; ++i) {
+        insts[i] = makeInst(i + 1, 0);
+        q.insert(&insts[i]);
+    }
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.maxOccupancy(), 3u);
+    q.insert(&insts[0]);
+    EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{1}));
+    EXPECT_EQ(q.maxOccupancy(), 3u);
+}
+
 TEST(IssueQueueDeath, OverflowPanics)
 {
     IssueQueue q("q", 1);
