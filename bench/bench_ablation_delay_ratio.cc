@@ -17,9 +17,7 @@ main(int argc, char **argv)
     mcdbench::parseHarnessArgs(argc, argv);
     mcdbench::banner("ABLATION A2", "Delay ratio T_m0 / T_l0");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(400000);
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions(400000);
 
     const std::vector<std::string> names = {"mpeg2_dec", "epic_decode",
                                             "gzip"};
@@ -28,23 +26,17 @@ main(int argc, char **argv)
                 "E-sav%", "P-deg%", "EDP+%", "actions");
     mcdbench::rule(66);
 
-    const auto shared = shareOptions(opts);
-    std::vector<std::shared_ptr<const RunOptions>> ratio_opts;
-    for (double ratio : ratios) {
-        RunOptions o = opts;
-        o.config.adaptive.deltaDelay = 8.0;
-        o.config.adaptive.levelDelay = 8.0 * ratio;
-        ratio_opts.push_back(shareOptions(std::move(o)));
-    }
-    std::vector<RunTask> tasks;
-    tasks.reserve(names.size() * (1 + ratios.size()));
+    std::vector<RunSpec> specs;
     for (const auto &name : names) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        for (const auto &ro : ratio_opts)
-            tasks.push_back(schemeTask(name, ControllerKind::Adaptive, ro));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        for (double ratio : ratios) {
+            RunSpec s = schemeSpec(name, ControllerKind::Adaptive, opts);
+            s.options.config.adaptive.deltaDelay = 8.0;
+            s.options.config.adaptive.levelDelay = 8.0 * ratio;
+            specs.push_back(std::move(s));
+        }
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     std::size_t idx = 0;
     for (const auto &name : names) {

@@ -47,31 +47,23 @@ main(int argc, char **argv)
     std::printf("%-12s %6s | %8s %8s %8s\n", "benchmark", "DW",
                 "E-sav%", "P-deg%", "EDP+%");
     mcdbench::rule(52);
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(400000);
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions(400000);
 
     const std::vector<const char *> names = {"mpeg2_dec", "adpcm_enc"};
     const std::vector<double> windows = {0.0, 1.0, 3.0};
 
     // Per benchmark: the MCD baseline, then one adaptive run per
-    // window width (each width gets its own shared options copy).
-    const auto shared = shareOptions(opts);
-    std::vector<std::shared_ptr<const RunOptions>> window_opts;
-    for (double dw : windows) {
-        RunOptions o = opts;
-        o.config.adaptive.levelDeviationWindow = dw;
-        window_opts.push_back(shareOptions(std::move(o)));
-    }
-    std::vector<RunTask> tasks;
-    tasks.reserve(names.size() * (1 + windows.size()));
+    // window width.
+    std::vector<RunSpec> specs;
     for (const char *name : names) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        for (const auto &wo : window_opts)
-            tasks.push_back(schemeTask(name, ControllerKind::Adaptive, wo));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        for (double dw : windows) {
+            RunSpec s = schemeSpec(name, ControllerKind::Adaptive, opts);
+            s.options.config.adaptive.levelDeviationWindow = dw;
+            specs.push_back(std::move(s));
+        }
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     std::size_t idx = 0;
     for (const char *name : names) {

@@ -21,9 +21,7 @@ main(int argc, char **argv)
                      "4-domain (Semeraro) vs 5-domain "
                      "(Iyer-Marculescu) partition");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(400000);
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions(400000);
 
     std::printf("%-12s %-8s | %12s | %8s %8s %8s\n", "benchmark",
                 "partition", "baseline-ms", "E-sav%", "P-deg%",
@@ -33,25 +31,18 @@ main(int argc, char **argv)
     const std::vector<const char *> names = {"epic_decode", "mpeg2_dec",
                                              "gzip", "swim"};
 
-    // Two options sets (4- and 5-domain substrate); per benchmark and
-    // partition an MCD baseline and an adaptive run.
-    std::shared_ptr<const RunOptions> part_opts[2];
-    for (int five = 0; five <= 1; ++five) {
-        RunOptions o = opts;
-        o.config.fiveDomainPartition = five != 0;
-        part_opts[five] = shareOptions(std::move(o));
-    }
-    std::vector<RunTask> tasks;
-    tasks.reserve(names.size() * 4);
+    // Per benchmark and partition (4- and 5-domain substrate): an
+    // MCD baseline and an adaptive run.
+    std::vector<RunSpec> specs;
     for (const char *name : names) {
         for (int five = 0; five <= 1; ++five) {
-            tasks.push_back(mcdBaselineTask(name, part_opts[five]));
-            tasks.push_back(
-                schemeTask(name, ControllerKind::Adaptive, part_opts[five]));
+            RunOptions o = opts;
+            o.config.fiveDomainPartition = five != 0;
+            specs.push_back(mcdBaselineSpec(name, o));
+            specs.push_back(schemeSpec(name, ControllerKind::Adaptive, o));
         }
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     double overhead_sum = 0.0;
     int n = 0;

@@ -17,9 +17,7 @@ main(int argc, char **argv)
     mcdbench::banner("ABLATION A3",
                      "Scheduler reconciliation and switch-freeze");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(400000);
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions(400000);
 
     struct Variant
     {
@@ -35,23 +33,17 @@ main(int argc, char **argv)
     };
     const std::vector<const char *> names = {"mpeg2_dec", "gcc", "swim"};
 
-    const auto shared = shareOptions(opts);
-    std::vector<std::shared_ptr<const RunOptions>> variant_opts;
-    for (const auto &v : variants) {
-        RunOptions o = opts;
-        o.config.adaptive.combineSimultaneousActions = v.combine;
-        o.config.adaptive.freezeWhileSwitching = v.freeze;
-        variant_opts.push_back(shareOptions(std::move(o)));
-    }
-    std::vector<RunTask> tasks;
-    tasks.reserve(names.size() * (1 + variant_opts.size()));
+    std::vector<RunSpec> specs;
     for (const char *name : names) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        for (const auto &vo : variant_opts)
-            tasks.push_back(schemeTask(name, ControllerKind::Adaptive, vo));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        for (const auto &v : variants) {
+            RunSpec s = schemeSpec(name, ControllerKind::Adaptive, opts);
+            s.options.config.adaptive.combineSimultaneousActions = v.combine;
+            s.options.config.adaptive.freezeWhileSwitching = v.freeze;
+            specs.push_back(std::move(s));
+        }
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     std::printf("%-12s %-28s | %8s %8s %8s %10s\n", "benchmark",
                 "variant", "E-sav%", "P-deg%", "EDP+%", "cancels");

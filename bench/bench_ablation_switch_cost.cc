@@ -19,9 +19,7 @@ main(int argc, char **argv)
     mcdbench::banner("ABLATION A4",
                      "XScale-style vs Transmeta-style switching cost");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(400000);
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions(400000);
 
     struct Variant
     {
@@ -43,33 +41,25 @@ main(int argc, char **argv)
     };
     const std::vector<const char *> names = {"epic_decode", "swim"};
 
-    const auto shared = shareOptions(opts);
-    std::vector<std::shared_ptr<const RunOptions>> variant_opts;
-    for (const auto &v : variants) {
-        RunOptions o = opts;
-        o.instructions /= v.insts_divisor;
-        o.config.dvfsModel = v.model;
-        o.config.adaptive.stepsPerAction = v.steps;
-        o.config.adaptive.levelDelay *= v.delay_scale;
-        o.config.adaptive.deltaDelay *= v.delay_scale;
-        variant_opts.push_back(shareOptions(std::move(o)));
-    }
-
     // Per benchmark: the full-length baseline, then per variant the
     // adaptive run plus (for shortened variants) a matching-length
     // baseline so the comparison stays apples-to-apples.
-    std::vector<RunTask> tasks;
+    std::vector<RunSpec> specs;
     for (const char *name : names) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        for (std::size_t v = 0; v < variant_opts.size(); ++v) {
-            tasks.push_back(
-                schemeTask(name, ControllerKind::Adaptive, variant_opts[v]));
-            if (variants[v].insts_divisor != 1)
-                tasks.push_back(mcdBaselineTask(name, variant_opts[v]));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        for (const auto &v : variants) {
+            RunOptions o = opts;
+            o.instructions /= v.insts_divisor;
+            o.config.dvfsModel = v.model;
+            o.config.adaptive.stepsPerAction = v.steps;
+            o.config.adaptive.levelDelay *= v.delay_scale;
+            o.config.adaptive.deltaDelay *= v.delay_scale;
+            specs.push_back(schemeSpec(name, ControllerKind::Adaptive, o));
+            if (v.insts_divisor != 1)
+                specs.push_back(mcdBaselineSpec(name, o));
         }
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     std::printf("%-12s %-34s | %8s %8s %8s %8s\n", "benchmark",
                 "variant", "E-sav%", "P-deg%", "EDP+%", "trans");

@@ -75,6 +75,13 @@ schemeList()
     return schemes;
 }
 
+Shard &
+shardFlag()
+{
+    static Shard shard;
+    return shard;
+}
+
 std::vector<std::string>
 splitCommas(const std::string &text)
 {
@@ -108,39 +115,29 @@ parseScheme(const std::string &name)
 void
 registerCampaignOptions()
 {
-    using Check = mcdbench::OptionDef::Check;
+    mcdbench::addHarnessOption(
+        {"--shard", "i/N", "run slice i of N (1-based)",
+         [](const std::string &v) { shardFlag() = parseShard(v); }});
     mcdbench::addHarnessOption(
         {"--report", "PATH", "write the comparison CSV here (default "
                              "stdout)",
-         Check::String, [](const std::string &v) { reportPath() = v; }});
+         [](const std::string &v) { reportPath() = v; }});
     mcdbench::addHarnessOption(
         {"--manifest", "PATH", "write this invocation's shard manifest",
-         Check::String,
          [](const std::string &v) { manifestPath() = v; }});
     mcdbench::addHarnessOption(
         {"--merge", "M1,M2,...", "merge shard manifests instead of "
                                  "running",
-         Check::String, [](const std::string &v) { mergeList() = v; }});
+         [](const std::string &v) { mergeList() = v; }});
     mcdbench::addHarnessOption(
         {"--seeds", "S1,S2,...", "workload seeds to sweep (default 1)",
-         Check::String,
          [](const std::string &v) {
-             for (const auto &s : splitCommas(v)) {
-                 std::uint64_t seed = 0;
-                 for (char c : s) {
-                     if (c < '0' || c > '9')
-                         throw ConfigError("--seeds",
-                                           "bad seed '" + s + "'");
-                     seed = seed * 10 + static_cast<std::uint64_t>(
-                                            c - '0');
-                 }
-                 seedList().push_back(seed);
-             }
+             for (const auto &s : splitCommas(v))
+                 seedList().push_back(parseUint(s, "--seeds"));
          }});
     mcdbench::addHarnessOption(
         {"--schemes", "A,B,...", "schemes to sweep (default adaptive,"
                                  "pid,attack-decay)",
-         Check::String,
          [](const std::string &v) {
              for (const auto &s : splitCommas(v))
                  schemeList().push_back(parseScheme(s));
@@ -148,18 +145,12 @@ registerCampaignOptions()
     mcdbench::addHarnessOption(
         {"--bench-json", "PATH", "time a cold-then-warm pass, write "
                                  "BENCH_campaign.json",
-         Check::String,
          [](const std::string &v) { benchJsonPath() = v; }});
 }
 
 CampaignSpec
-buildSpec(const char *argv0)
+buildSpec()
 {
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength();
-    mcdbench::applyObservability(opts);
-    mcdbench::applyFaultTolerance(opts, argv0);
-
     CampaignSpec spec;
     spec.benchmarks = mcdbench::allBenchmarks();
     spec.schemes = schemeList().empty()
@@ -169,31 +160,8 @@ buildSpec(const char *argv0)
                              ControllerKind::AttackDecay}
                        : schemeList();
     spec.seeds = seedList();
-    spec.options = opts;
+    spec.options = mcdbench::runOptions();
     return spec;
-}
-
-void
-printSummary(const CampaignResult &r)
-{
-    std::fprintf(stderr,
-                 "campaign: %zu runs total, %zu in shard %u/%u "
-                 "(%zu executed, %zu cached, %zu failed)\n",
-                 r.total, r.runs.size(), r.shard.index, r.shard.count,
-                 r.executed, r.cached, r.failed);
-    const RunCache::Stats &cs = r.cacheStats;
-    if (cs.hits || cs.misses || cs.stale || cs.stores ||
-        cs.uncacheable || cs.errors) {
-        std::fprintf(stderr,
-                     "cache: %llu hits, %llu misses, %llu stale, "
-                     "%llu stores, %llu uncacheable, %llu errors\n",
-                     static_cast<unsigned long long>(cs.hits),
-                     static_cast<unsigned long long>(cs.misses),
-                     static_cast<unsigned long long>(cs.stale),
-                     static_cast<unsigned long long>(cs.stores),
-                     static_cast<unsigned long long>(cs.uncacheable),
-                     static_cast<unsigned long long>(cs.errors));
-    }
 }
 
 /** Emit the comparison table (file or stdout) and the obs artifacts. */
@@ -207,8 +175,8 @@ emitComplete(const CampaignSpec &spec, const CampaignResult &result)
         std::fputs(csv.str().c_str(), stdout);
     else
         mcdbench::writeArtifact(reportPath(), csv.str());
-    mcdbench::emitObservability(rows);
-    return mcdbench::reportRowFailures(rows);
+    mcdbench::emitObservability(result);
+    return mcdbench::reportFailures(result);
 }
 
 /** Timed cold-then-warm pass; writes the flat JSON perf record. */
@@ -277,8 +245,8 @@ main(int argc, char **argv)
     mcdbench::parseHarnessArgs(argc, argv);
 
     try {
-        const CampaignSpec spec = buildSpec(argv[0]);
-        RunCache cache = mcdbench::openRunCache(argv[0]);
+        const CampaignSpec spec = buildSpec();
+        RunCache cache = mcdbench::openRunCache();
 
         if (!benchJsonPath().empty())
             return runTimedBench(spec, cache, argv[0]);
@@ -293,18 +261,18 @@ main(int argc, char **argv)
         } else {
             Campaign campaign(spec,
                               cache.enabled() ? &cache : nullptr);
-            result = campaign.run(mcdbench::shardFlag());
+            result = campaign.run(shardFlag());
         }
 
         if (!manifestPath().empty())
             writeManifest(result, manifestPath());
-        printSummary(result);
+        mcdbench::printCampaignSummary(result);
 
         // A complete result (1/1 shard or merge) emits the table; a
         // partial shard only reports its own failures.
         if (result.runs.size() == result.total)
             return emitComplete(spec, result);
-        return result.failed == 0 ? 0 : 1;
+        return mcdbench::reportFailures(result);
     } catch (const McdError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 2;

@@ -2,22 +2,27 @@
  * @file
  * Shared glue for the experiment harnesses: a declarative option
  * table every harness parses (jobs, observability, fault tolerance,
- * run cache, sharding — one registration point per flag, generated
- * --help), run-length control via the MCDSIM_INSTS environment
- * variable, suite listing, and table formatting helpers. Each harness
- * regenerates one table or figure of the paper (see DESIGN.md's
- * experiment index and EXPERIMENTS.md for paper-vs-measured records).
+ * run cache — one registration point per flag, generated --help),
+ * run-length control via the MCDSIM_INSTS environment variable, the
+ * one launch path (runOptions() + runCampaign() / runAll()), suite
+ * listing, and table formatting helpers. Each harness regenerates one
+ * table or figure of the paper (see DESIGN.md's experiment index and
+ * EXPERIMENTS.md for paper-vs-measured records).
  */
 
 #ifndef MCDSIM_BENCH_BENCH_COMMON_HH
 #define MCDSIM_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,6 +30,14 @@
 
 namespace mcdbench
 {
+
+/** argv[0] for error messages; parseHarnessArgs records it. */
+inline const char *&
+programName()
+{
+    static const char *name = "mcdsim";
+    return name;
+}
 
 /** Instructions per run: MCDSIM_INSTS overrides the default. */
 inline std::uint64_t
@@ -103,9 +116,9 @@ deadlineMs()
 /** @} */
 
 /**
- * @{ Run-cache / sharding knobs from `--cache MODE`, `--cache-dir
- * PATH`, `--shard i/N`. The cache defaults to off; the directory
- * falls back to MCDSIM_CACHE_DIR (resolved in openRunCache below).
+ * @{ Run-cache knobs from `--cache MODE` and `--cache-dir PATH`. The
+ * cache defaults to off; the directory falls back to MCDSIM_CACHE_DIR
+ * (resolved in openRunCache below).
  */
 inline mcd::CacheMode &
 cacheModeFlag()
@@ -119,13 +132,6 @@ cacheDirFlag()
 {
     static std::string dir;
     return dir;
-}
-
-inline mcd::Shard &
-shardFlag()
-{
-    static mcd::Shard shard;
-    return shard;
 }
 /** @} */
 
@@ -160,13 +166,9 @@ struct OptionDef
     /** One-line description for --help. */
     const char *help;
 
-    /** Validation applied before apply(): any string, a positive
-     *  integer, or an integer that may be zero. */
-    enum class Check : std::uint8_t { String, UintPositive, UintAny };
-    Check check = Check::String;
-
-    /** Consume the validated value. May throw mcd::ConfigError, which
-     *  parseHarnessArgs renders through argError(). */
+    /** Consume the value. May throw mcd::ConfigError (numeric flags
+     *  parse with mcd::parseUint), which parseHarnessArgs renders
+     *  through argError(). */
     std::function<void(const std::string &)> apply;
 };
 
@@ -178,44 +180,44 @@ struct OptionDef
 inline std::vector<OptionDef> &
 optionTable()
 {
-    using Check = OptionDef::Check;
     static std::vector<OptionDef> table = {
         {"--jobs", "N", "worker threads (overrides MCDSIM_JOBS)",
-         Check::UintPositive,
          [](const std::string &v) {
-             mcd::setConfiguredJobs(
-                 static_cast<std::size_t>(std::stoull(v)));
+             const std::uint64_t jobs = mcd::parseUint(
+                 v, "--jobs", std::numeric_limits<std::size_t>::max());
+             if (jobs == 0)
+                 throw mcd::ConfigError(
+                     "--jobs", "expected a positive integer, got '0'");
+             mcd::setConfiguredJobs(static_cast<std::size_t>(jobs));
          }},
         {"--stats-out", "PATH", "write stats dumps (text + PATH.json)",
-         Check::String,
          [](const std::string &v) { statsOutPath() = v; }},
         {"--trace-out", "PATH", "write Chrome trace-event documents",
-         Check::String,
          [](const std::string &v) { traceOutPath() = v; }},
         {"--faults", "SPEC", "fault plan (overrides MCDSIM_FAULTS)",
-         Check::String, [](const std::string &v) { faultSpec() = v; }},
+         [](const std::string &v) { faultSpec() = v; }},
+        // maxAttempts = 1 + retries must still fit its uint32_t.
         {"--retries", "N", "extra attempts for a failed run",
-         Check::UintAny,
          [](const std::string &v) {
-             retryCount() = static_cast<std::uint32_t>(std::stoull(v));
+             retryCount() = static_cast<std::uint32_t>(mcd::parseUint(
+                 v, "--retries",
+                 std::numeric_limits<std::uint32_t>::max() - 1));
          }},
         {"--event-budget", "N", "abort a run after N kernel events",
-         Check::UintAny,
-         [](const std::string &v) { eventBudget() = std::stoull(v); }},
+         [](const std::string &v) {
+             eventBudget() = mcd::parseUint(v, "--event-budget");
+         }},
         {"--deadline-ms", "N", "wall-clock deadline per run",
-         Check::UintAny,
-         [](const std::string &v) { deadlineMs() = std::stoull(v); }},
+         [](const std::string &v) {
+             deadlineMs() = mcd::parseUint(v, "--deadline-ms");
+         }},
         {"--cache", "MODE", "run cache: off, read, or readwrite",
-         Check::String,
          [](const std::string &v) {
              cacheModeFlag() = mcd::parseCacheMode(v);
          }},
         {"--cache-dir", "PATH",
          "run-cache directory (default MCDSIM_CACHE_DIR)",
-         Check::String,
          [](const std::string &v) { cacheDirFlag() = v; }},
-        {"--shard", "i/N", "run slice i of N (1-based)", Check::String,
-         [](const std::string &v) { shardFlag() = mcd::parseShard(v); }},
     };
     return table;
 }
@@ -225,6 +227,21 @@ inline void
 addHarnessOption(OptionDef def)
 {
     optionTable().push_back(std::move(def));
+}
+
+/**
+ * Drop every option not named in @p keep (call before
+ * parseHarnessArgs). A harness that runs no simulation — or, like
+ * bench_wallclock, runs them outside the one launch path — must
+ * reject the flags it cannot honour rather than ignore them.
+ */
+inline void
+restrictOptions(std::initializer_list<std::string_view> keep)
+{
+    auto &table = optionTable();
+    std::erase_if(table, [&](const OptionDef &def) {
+        return std::find(keep.begin(), keep.end(), def.name) == keep.end();
+    });
 }
 
 /** Print the generated usage/help text for the current table. */
@@ -254,28 +271,12 @@ printHarnessHelp(std::FILE *out, const char *argv0)
 inline void
 parseHarnessArgs(int argc, char **argv)
 {
+    programName() = argv[0];
     auto usage = [&](const char *bad) {
         std::fprintf(stderr, "%s: unrecognised argument '%s'\n", argv[0],
                      bad);
         printHarnessHelp(stderr, argv[0]);
         std::exit(2);
-    };
-    // from_chars end-to-end: rejects empty, negatives (no '-' for
-    // unsigned), and trailing garbage like "4x" or "1e3".
-    auto checkUint = [&](const OptionDef &def, const std::string &text) {
-        const bool allow_zero =
-            def.check == OptionDef::Check::UintAny;
-        std::uint64_t value = 0;
-        const char *begin = text.c_str();
-        const char *end = begin + text.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{} || ptr != end ||
-            (!allow_zero && value == 0)) {
-            argError(argv[0], def.name,
-                     std::string("expected a ") +
-                         (allow_zero ? "non-negative" : "positive") +
-                         " integer, got '" + text + "'");
-        }
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -305,8 +306,6 @@ parseHarnessArgs(int argc, char **argv)
         }
         if (!match)
             usage(arg);
-        if (match->check != OptionDef::Check::String)
-            checkUint(*match, value);
         try {
             match->apply(value);
         } catch (const mcd::ConfigError &e) {
@@ -322,101 +321,86 @@ parseHarnessArgs(int argc, char **argv)
  * error, reported in the uniform style.
  */
 inline mcd::RunCache
-openRunCache(const char *argv0 = "mcdsim")
+openRunCache()
 {
     try {
         return mcd::RunCache(
             mcd::resolveCacheConfig(cacheModeFlag(), cacheDirFlag()));
     } catch (const mcd::ConfigError &e) {
-        argError(argv0, e.site().c_str(), e.context());
+        argError(programName(), e.site().c_str(), e.context());
     }
 }
 
 /**
- * Turn on the observability the command line asked for: stats
- * collection when --stats-out was given, Chrome tracing when
- * --trace-out was. Call after building RunOptions, before sharing it
- * among tasks.
+ * RunOptions for this harness's runs: @p defaultInsts instructions
+ * (MCDSIM_INSTS overrides), plus everything the command line asked
+ * for — stats and trace collection for --stats-out / --trace-out, the
+ * --faults / MCDSIM_FAULTS plan (a malformed spec is a usage error),
+ * --retries, --event-budget and --deadline-ms.
  */
-inline void
-applyObservability(mcd::RunOptions &opts)
+inline mcd::RunOptions
+runOptions(std::uint64_t defaultInsts = 600000)
 {
-    if (!statsOutPath().empty())
-        opts.collectStats = true;
-    if (!traceOutPath().empty())
-        opts.trace.enabled = true;
-}
-
-/**
- * Wire the fault-tolerance command line into one RunOptions: parse
- * the --faults / MCDSIM_FAULTS spec into a shared plan (a malformed
- * spec is a structured usage error), and forward --retries,
- * --event-budget and --deadline-ms. Call next to applyObservability.
- */
-inline void
-applyFaultTolerance(mcd::RunOptions &opts, const char *argv0 = "mcdsim")
-{
+    mcd::RunOptions opts;
+    opts.instructions = runLength(defaultInsts);
+    opts.collectStats = !statsOutPath().empty();
+    opts.trace.enabled = !traceOutPath().empty();
     if (!faultSpec().empty()) {
         try {
             opts.config.faults = mcd::FaultPlan::parseShared(faultSpec());
         } catch (const mcd::ConfigError &e) {
-            std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-            std::exit(2);
+            argError(programName(), e.site().c_str(), e.context());
         }
     }
     opts.maxAttempts = 1 + retryCount();
     opts.wallDeadlineMs = deadlineMs();
     opts.config.eventBudget = eventBudget();
+    return opts;
 }
 
-/**
- * Failure summary for a comparison table: prints one line per
- * non-ok row to stderr and returns the harness exit code (0 when
- * everything succeeded, 1 otherwise). Use as `return
- * reportRowFailures(rows);` so a degraded suite still emits its
- * partial table but fails the invocation.
- */
+/** One stderr line per run that did not complete; returns the exit
+ *  code (0 when everything succeeded, 1 otherwise). */
 inline int
-reportRowFailures(const std::vector<mcd::ComparisonRow> &rows)
+reportFailures(const mcd::CampaignResult &result)
 {
-    const std::size_t failed = mcd::failedRowCount(rows);
-    if (failed == 0)
+    if (result.failed == 0)
         return 0;
     std::fprintf(stderr, "mcdsim: %zu of %zu runs did not complete:\n",
-                 failed, rows.size());
-    for (const auto &row : rows) {
-        if (mcd::runSucceeded(row.status))
+                 result.failed, result.runs.size());
+    for (const auto &run : result.runs) {
+        if (run.outcome.ok())
             continue;
         std::fprintf(stderr, "  %s/%s: %s (attempts=%u) %s\n",
-                     row.benchmark.c_str(), row.scheme.c_str(),
-                     mcd::runStatusName(row.status), row.attempts,
-                     row.error.c_str());
+                     run.spec.benchmark.c_str(),
+                     mcd::runLabel(run.spec).c_str(),
+                     mcd::runStatusName(run.outcome.status),
+                     run.outcome.attempts, run.outcome.error.c_str());
     }
     return 1;
 }
 
-/** Outcome-vector overload for harnesses that fan tasks out raw. */
-inline int
-reportOutcomeFailures(const std::vector<mcd::RunTask> &tasks,
-                      const std::vector<mcd::RunOutcome> &outcomes)
+/** Where a campaign's results came from, on stderr. */
+inline void
+printCampaignSummary(const mcd::CampaignResult &r)
 {
-    std::size_t failed = 0;
-    for (const auto &o : outcomes)
-        failed += o.ok() ? 0 : 1;
-    if (failed == 0)
-        return 0;
-    std::fprintf(stderr, "mcdsim: %zu of %zu runs did not complete:\n",
-                 failed, outcomes.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (outcomes[i].ok())
-            continue;
-        std::fprintf(stderr, "  %s/%s: %s (attempts=%u) %s\n",
-                     tasks[i].benchmark.c_str(),
-                     mcd::runTaskLabel(tasks[i]).c_str(),
-                     mcd::runStatusName(outcomes[i].status),
-                     outcomes[i].attempts, outcomes[i].error.c_str());
+    std::fprintf(stderr,
+                 "campaign: %zu runs total, %zu in shard %u/%u "
+                 "(%zu executed, %zu cached, %zu failed)\n",
+                 r.total, r.runs.size(), r.shard.index, r.shard.count,
+                 r.executed, r.cached, r.failed);
+    const mcd::RunCache::Stats &cs = r.cacheStats;
+    if (cs.hits || cs.misses || cs.stale || cs.stores ||
+        cs.uncacheable || cs.errors) {
+        std::fprintf(stderr,
+                     "cache: %llu hits, %llu misses, %llu stale, "
+                     "%llu stores, %llu uncacheable, %llu errors\n",
+                     static_cast<unsigned long long>(cs.hits),
+                     static_cast<unsigned long long>(cs.misses),
+                     static_cast<unsigned long long>(cs.stale),
+                     static_cast<unsigned long long>(cs.stores),
+                     static_cast<unsigned long long>(cs.uncacheable),
+                     static_cast<unsigned long long>(cs.errors));
     }
-    return 1;
 }
 
 inline void
@@ -434,29 +418,33 @@ writeArtifact(const std::string &path, const std::string &text)
 }
 
 /**
- * Write the stats / trace artifacts the command line asked for.
+ * Write the stats / trace artifacts the command line asked for, from
+ * the runs of @p result that completed.
  *
  * Stats from every run land in one pair of files: text sections at
  * the --stats-out path, a JSON array of per-run objects at that path
  * + ".json". Chrome traces cannot be concatenated (one document per
  * timeline), so a single traced run writes exactly the --trace-out
- * path and N runs write path.0 .. path.N-1, in task-submission order
- * either way — byte-identical at any --jobs count.
+ * path and N runs write path.0 .. path.N-1, in run order either way —
+ * byte-identical at any --jobs count.
  */
 inline void
-emitObservability(const std::vector<mcd::SimResult> &results)
+emitObservability(const mcd::CampaignResult &result)
 {
+    std::vector<const mcd::SimResult *> done;
+    for (const auto &run : result.runs) {
+        if (run.outcome.ok())
+            done.push_back(&run.outcome.result);
+    }
     if (!statsOutPath().empty()) {
         std::string text, json = "[";
-        bool first = true;
-        std::size_t idx = 0;
-        for (const auto &r : results) {
-            text += "# run " + std::to_string(idx++) + ": " +
-                    r.benchmark + " / " + r.controller + "\n";
+        for (std::size_t i = 0; i < done.size(); ++i) {
+            const mcd::SimResult &r = *done[i];
+            text += "# run " + std::to_string(i) + ": " + r.benchmark +
+                    " / " + r.controller + "\n";
             text += r.statsText;
-            if (!first)
+            if (i > 0)
                 json += ",";
-            first = false;
             json += "\n" + (r.statsJson.empty() ? std::string("{}")
                                                 : r.statsJson);
         }
@@ -465,51 +453,60 @@ emitObservability(const std::vector<mcd::SimResult> &results)
         writeArtifact(statsOutPath() + ".json", json);
     }
     if (!traceOutPath().empty()) {
-        std::size_t traced = 0;
-        for (const auto &r : results)
-            traced += r.traceJson.empty() ? 0 : 1;
+        const auto traced = std::count_if(
+            done.begin(), done.end(),
+            [](const mcd::SimResult *r) { return !r->traceJson.empty(); });
         std::size_t idx = 0;
-        for (const auto &r : results) {
-            if (r.traceJson.empty())
+        for (const mcd::SimResult *r : done) {
+            if (r->traceJson.empty())
                 continue;
             const std::string path =
                 traced == 1 ? traceOutPath()
                             : traceOutPath() + "." + std::to_string(idx);
-            writeArtifact(path, r.traceJson);
+            writeArtifact(path, r->traceJson);
             ++idx;
         }
     }
 }
 
-/** Single-run convenience overload (figure-style harnesses). */
-inline void
-emitObservability(const mcd::SimResult &result)
+/**
+ * The one launch path of every simulating harness: run @p specs
+ * through Campaign, serving and storing results in the --cache /
+ * --cache-dir run cache (with a summary on stderr when it is on), and
+ * write the --stats-out / --trace-out artifacts of the runs that
+ * completed. Runs come back in spec order, failures included; a
+ * harness that prints a partial table ends with
+ * `return reportFailures(result);`.
+ */
+inline mcd::CampaignResult
+runCampaign(std::vector<mcd::RunSpec> specs)
 {
-    emitObservability(std::vector<mcd::SimResult>{result});
+    mcd::RunCache cache = openRunCache();
+    mcd::CampaignResult result =
+        mcd::Campaign(std::move(specs), cache.enabled() ? &cache : nullptr)
+            .run();
+    if (cache.enabled())
+        printCampaignSummary(result);
+    emitObservability(result);
+    return result;
 }
 
-/** Outcome overload: emits the runs that completed (partial suite). */
-inline void
-emitObservability(const std::vector<mcd::RunOutcome> &outcomes)
+/**
+ * runCampaign() for harnesses whose tables need every run: on any
+ * failure prints the per-run summary and exits 1, otherwise returns
+ * the results in spec order.
+ */
+inline std::vector<mcd::SimResult>
+runAll(std::vector<mcd::RunSpec> specs)
 {
+    mcd::CampaignResult result = runCampaign(std::move(specs));
+    if (reportFailures(result) != 0)
+        std::exit(1);
     std::vector<mcd::SimResult> results;
-    results.reserve(outcomes.size());
-    for (const auto &o : outcomes) {
-        if (o.ok())
-            results.push_back(o.result);
-    }
-    emitObservability(results);
-}
-
-/** Comparison-table overload: emits each row's scheme run. */
-inline void
-emitObservability(const std::vector<mcd::ComparisonRow> &rows)
-{
-    std::vector<mcd::SimResult> results;
-    results.reserve(rows.size());
-    for (const auto &row : rows)
-        results.push_back(row.result);
-    emitObservability(results);
+    results.reserve(result.runs.size());
+    for (auto &run : result.runs)
+        results.push_back(std::move(run.outcome.result));
+    return results;
 }
 
 /** All benchmark names, in suite order. */

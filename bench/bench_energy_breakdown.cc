@@ -59,20 +59,15 @@ main(int argc, char **argv)
                      "Per-domain, per-category joules (uJ): baseline "
                      "vs adaptive");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(400000);
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions(400000);
 
     const std::vector<const char *> names = {"adpcm_enc", "swim"};
-    const auto shared = shareOptions(opts);
-    std::vector<RunTask> tasks;
-    tasks.reserve(names.size() * 2);
+    std::vector<RunSpec> specs;
     for (const char *name : names) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        tasks.push_back(schemeTask(name, ControllerKind::Adaptive, shared));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        specs.push_back(schemeSpec(name, ControllerKind::Adaptive, opts));
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     std::size_t idx = 0;
     for (const char *name : names) {

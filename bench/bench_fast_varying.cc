@@ -41,9 +41,7 @@ main(int argc, char **argv)
                      "Adaptive vs fixed-interval schemes by "
                      "workload-variability class");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength();
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions();
 
     const std::vector<ControllerKind> kinds = {
         ControllerKind::Adaptive, ControllerKind::Pid,
@@ -53,17 +51,14 @@ main(int argc, char **argv)
     GroupAvg fast[3], slow[3];
 
     // Per benchmark: one MCD baseline followed by one run per scheme.
-    const auto shared = shareOptions(opts);
-    std::vector<RunTask> tasks;
+    std::vector<RunSpec> specs;
     const auto &suite = benchmarkList();
-    tasks.reserve(suite.size() * (1 + kinds.size()));
     for (const auto &info : suite) {
-        tasks.push_back(mcdBaselineTask(info.name, shared));
+        specs.push_back(mcdBaselineSpec(info.name, opts));
         for (const auto kind : kinds)
-            tasks.push_back(schemeTask(info.name, kind, shared));
+            specs.push_back(schemeSpec(info.name, kind, opts));
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     std::printf("%-12s %-6s | %-14s %8s %8s %8s\n", "benchmark",
                 "class", "scheme", "E-sav%", "P-deg%", "EDP+%");

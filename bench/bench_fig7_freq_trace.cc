@@ -19,14 +19,10 @@ main(int argc, char **argv)
     mcdbench::banner("FIGURE 7",
                      "epic_decode FP-domain frequency trace (adaptive)");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(1000000);
+    RunOptions opts = mcdbench::runOptions(1000000);
     opts.recordTraces = true;
-    mcdbench::applyObservability(opts);
-    const SimResult r = runTask(
-        schemeTask("epic_decode", ControllerKind::Adaptive,
-                   shareOptions(std::move(opts))));
-    mcdbench::emitObservability(r);
+    const SimResult r = std::move(mcdbench::runAll(
+        {schemeSpec("epic_decode", ControllerKind::Adaptive, opts)})[0]);
 
     const std::size_t buckets = 60;
     const auto freq = r.fpFreqTrace.bucketMeans(buckets);

@@ -22,14 +22,11 @@ main(int argc, char **argv)
         "FIGURE 8",
         "epic_decode INT-queue variance spectrum (multitaper)");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(600000);
+    RunOptions opts = mcdbench::runOptions(600000);
     opts.recordTraces = true;
     opts.config.traceStride = 1;
-    mcdbench::applyObservability(opts);
-    const SimResult r = runTask(
-        mcdBaselineTask("epic_decode", shareOptions(std::move(opts))));
-    mcdbench::emitObservability(r);
+    const SimResult r = std::move(
+        mcdbench::runAll({mcdBaselineSpec("epic_decode", opts)})[0]);
 
     const double fs = 250e6; // sampling rate
     const auto vs = sineMultitaperPsd(r.intQueueTrace.valueData(), fs, 6);

@@ -23,9 +23,7 @@ main(int argc, char **argv)
     mcdbench::banner("INTERVAL SENSITIVITY",
                      "PID [23] with shorter intervals vs adaptive");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength();
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions();
 
     const auto group = mcdbench::fastVaryingBenchmarks();
     // Intervals in sampling periods: 10 us down to 0.625 us.
@@ -39,27 +37,23 @@ main(int argc, char **argv)
                 "EDP+%");
     mcdbench::rule(52);
 
-    // One task list for the whole sweep: per benchmark an MCD
+    // One spec list for the whole sweep: per benchmark an MCD
     // baseline and the adaptive reference, then per interval one PID
-    // run per benchmark (each interval gets its own shared options
-    // copy carrying the overridden interval length).
-    const auto shared = shareOptions(opts);
-    std::vector<RunTask> tasks;
-    tasks.reserve(group.size() * (2 + n_intervals));
+    // run per benchmark with the overridden interval length.
+    std::vector<RunSpec> specs;
+    specs.reserve(group.size() * (2 + n_intervals));
     for (const auto &name : group) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        tasks.push_back(schemeTask(name, ControllerKind::Adaptive, shared));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        specs.push_back(schemeSpec(name, ControllerKind::Adaptive, opts));
     }
     for (std::uint32_t interval : intervals) {
-        RunOptions o = opts;
-        o.config.pid.intervalSamples = interval;
-        const auto shared_interval = shareOptions(std::move(o));
-        for (const auto &name : group)
-            tasks.push_back(
-                schemeTask(name, ControllerKind::Pid, shared_interval));
+        for (const auto &name : group) {
+            RunSpec s = schemeSpec(name, ControllerKind::Pid, opts);
+            s.options.config.pid.intervalSamples = interval;
+            specs.push_back(std::move(s));
+        }
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     // Adaptive reference.
     double ae = 0, ap = 0, aedp = 0;

@@ -14,10 +14,10 @@
  * chip) is reported separately at the end, matching how the MCD
  * papers account for it.
  *
- * Runs fan out through ParallelRunner::runOutcomes, so a failing run
- * (injected via --faults or real) marks only its own table cells
- * "failed" and the harness exits non-zero after printing the partial
- * table.
+ * Runs go through the shared launch path (mcdbench::runCampaign), so
+ * a failing run (injected via --faults or real) marks only its own
+ * table cells "failed" and the harness exits non-zero after printing
+ * the partial table.
  */
 
 #include "bench_common.hh"
@@ -32,10 +32,7 @@ main(int argc, char **argv)
                      "Energy savings / performance degradation vs "
                      "MCD full-speed baseline");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength();
-    mcdbench::applyObservability(opts);
-    mcdbench::applyFaultTolerance(opts, argv[0]);
+    const RunOptions opts = mcdbench::runOptions();
     std::printf("(instructions per run: %llu; set MCDSIM_INSTS to "
                 "change)\n\n",
                 static_cast<unsigned long long>(opts.instructions));
@@ -51,23 +48,23 @@ main(int argc, char **argv)
                 "P-deg%", "EDP+%", "E-sav%", "P-deg%", "EDP+%");
     mcdbench::rule(84);
 
-    // Fan the whole matrix out through the execution layer: per
-    // benchmark an MCD baseline, a synchronous baseline, and one run
-    // per scheme. Outcomes come back in submission order, so the
-    // per-benchmark stride below is (2 + kinds.size()).
-    const auto shared = shareOptions(opts);
-    std::vector<RunTask> tasks;
+    // The whole matrix in one campaign: per benchmark an MCD
+    // baseline, a synchronous baseline, and one run per scheme. Runs
+    // come back in spec order, so the per-benchmark stride below is
+    // (2 + kinds.size()).
+    std::vector<RunSpec> specs;
     const auto &suite = benchmarkList();
-    tasks.reserve(suite.size() * (2 + kinds.size()));
+    specs.reserve(suite.size() * (2 + kinds.size()));
     for (const auto &info : suite) {
-        tasks.push_back(mcdBaselineTask(info.name, shared));
-        tasks.push_back(syncBaselineTask(info.name, shared));
+        specs.push_back(mcdBaselineSpec(info.name, opts));
+        specs.push_back(syncBaselineSpec(info.name, opts));
         for (const auto kind : kinds)
-            tasks.push_back(schemeTask(info.name, kind, shared));
+            specs.push_back(schemeSpec(info.name, kind, opts));
     }
-    const std::vector<RunOutcome> outcomes =
-        ParallelRunner().runOutcomes(tasks);
-    mcdbench::emitObservability(outcomes);
+    const CampaignResult campaign = mcdbench::runCampaign(std::move(specs));
+    const auto outcome = [&](std::size_t i) -> const RunOutcome & {
+        return campaign.runs[i].outcome;
+    };
 
     struct Avg
     {
@@ -80,8 +77,8 @@ main(int argc, char **argv)
 
     std::size_t idx = 0;
     for (const auto &info : suite) {
-        const RunOutcome &base = outcomes[idx++];
-        const RunOutcome &sync = outcomes[idx++];
+        const RunOutcome &base = outcome(idx++);
+        const RunOutcome &sync = outcome(idx++);
         if (base.ok() && sync.ok()) {
             sync_overhead +=
                 static_cast<double>(base.result.wallTicks) /
@@ -93,7 +90,7 @@ main(int argc, char **argv)
         std::printf("%-12s |", info.name.c_str());
         bool row_complete = base.ok();
         for (std::size_t k = 0; k < kinds.size(); ++k) {
-            const RunOutcome &r = outcomes[idx++];
+            const RunOutcome &r = outcome(idx++);
             if (r.ok() && base.ok()) {
                 const Comparison c = compare(r.result, base.result);
                 std::printf(" %6.1f %6.1f %7.1f |",
@@ -139,5 +136,5 @@ main(int argc, char **argv)
                     "DVFS): %.1f%% average slowdown\n",
                     mcdbench::pct(sync_overhead / sync_n));
     }
-    return mcdbench::reportOutcomeFailures(tasks, outcomes);
+    return mcdbench::reportFailures(campaign);
 }

@@ -19,21 +19,15 @@ main(int argc, char **argv)
     mcdbench::banner("OBS SMOKE",
                      "short traced sweep for artifact validation");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(20000);
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions(20000);
 
     const std::vector<const char *> names = {"epic_decode", "gcc"};
-    const auto shared = shareOptions(opts);
-    std::vector<RunTask> tasks;
-    tasks.reserve(names.size() * 2);
+    std::vector<RunSpec> specs;
     for (const char *name : names) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        tasks.push_back(
-            schemeTask(name, ControllerKind::Adaptive, shared));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        specs.push_back(schemeSpec(name, ControllerKind::Adaptive, opts));
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     std::printf("%-12s %-10s | %12s %12s\n", "benchmark", "scheme",
                 "insts", "events");

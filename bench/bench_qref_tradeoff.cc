@@ -24,9 +24,7 @@ main(int argc, char **argv)
                      "Reference queue point vs energy/performance "
                      "(Section 3)");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(400000);
-    mcdbench::applyObservability(opts);
+    const RunOptions opts = mcdbench::runOptions(400000);
 
     struct Setting
     {
@@ -52,22 +50,19 @@ main(int argc, char **argv)
     mcdbench::rule(58);
 
     // Baselines first, then per setting one adaptive run per
-    // benchmark (each setting carries its own shared options copy).
-    const auto shared = shareOptions(opts);
-    std::vector<RunTask> tasks;
-    tasks.reserve(names.size() * (1 + std::size(settings)));
+    // benchmark.
+    std::vector<RunSpec> specs;
+    specs.reserve(names.size() * (1 + std::size(settings)));
     for (const auto &n : names)
-        tasks.push_back(mcdBaselineTask(n, shared));
+        specs.push_back(mcdBaselineSpec(n, opts));
     for (const auto &s : settings) {
-        RunOptions o = opts;
-        o.config.qref = {s.qint, s.qfp, s.qls};
-        const auto setting_opts = shareOptions(std::move(o));
-        for (const auto &n : names)
-            tasks.push_back(
-                schemeTask(n, ControllerKind::Adaptive, setting_opts));
+        for (const auto &n : names) {
+            RunSpec spec = schemeSpec(n, ControllerKind::Adaptive, opts);
+            spec.options.config.qref = {s.qint, s.qfp, s.qls};
+            specs.push_back(std::move(spec));
+        }
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     double prev_e = -1.0;
     bool monotone_energy = true;

@@ -97,11 +97,8 @@ main(int argc, char **argv)
                      "Controller stability under injected sensor noise "
                      "and dropped updates");
 
-    RunOptions base;
-    base.instructions = mcdbench::runLength(300000);
+    RunOptions base = mcdbench::runOptions(300000);
     base.recordTraces = true;
-    mcdbench::applyObservability(base);
-    mcdbench::applyFaultTolerance(base, argv[0]);
     std::printf("(instructions per run: %llu; set MCDSIM_INSTS to "
                 "change)\n\n",
                 static_cast<unsigned long long>(base.instructions));
@@ -121,11 +118,11 @@ main(int argc, char **argv)
         suiteNames.begin() +
             std::min<std::size_t>(2, suiteNames.size()));
 
-    // One shared RunOptions per sweep point: the points differ only
-    // in their fault plan. An externally supplied --faults spec
-    // composes with (prepends to) each point's own injections.
-    std::vector<RunTask> tasks;
-    tasks.reserve(points.size() * kinds.size() * benches.size());
+    // The sweep points differ only in their fault plan. An
+    // externally supplied --faults spec composes with (prepends to)
+    // each point's own injections.
+    std::vector<RunSpec> specs;
+    specs.reserve(points.size() * kinds.size() * benches.size());
     for (const auto &p : points) {
         RunOptions opts = base;
         std::string spec = pointSpec(p);
@@ -135,15 +132,12 @@ main(int argc, char **argv)
                        : mcdbench::faultSpec() + ";" + spec;
         }
         opts.config.faults = FaultPlan::parseShared(spec);
-        const auto shared = shareOptions(std::move(opts));
         for (const auto &bench : benches) {
             for (const auto kind : kinds)
-                tasks.push_back(schemeTask(bench, kind, shared));
+                specs.push_back(schemeSpec(bench, kind, opts));
         }
     }
-    const std::vector<RunOutcome> outcomes =
-        ParallelRunner().runOutcomes(tasks);
-    mcdbench::emitObservability(outcomes);
+    const CampaignResult campaign = mcdbench::runCampaign(std::move(specs));
 
     const std::array<double, 3> qref = base.config.qref;
     std::printf("%-5s %-5s | %-12s | %9s %9s %11s %7s\n", "noise",
@@ -151,7 +145,7 @@ main(int argc, char **argv)
                 "P-deg%");
     mcdbench::rule(70);
 
-    // outcomes are (point major, benchmark middle, kind minor); the
+    // Runs are (point major, benchmark middle, kind minor); the
     // fault-free point supplies each scheme's reference wall time.
     const std::size_t perPoint = benches.size() * kinds.size();
     std::vector<double> refTicks(perPoint, 0.0);
@@ -164,7 +158,8 @@ main(int argc, char **argv)
             bool complete = true;
             for (std::size_t b = 0; b < benches.size(); ++b) {
                 const std::size_t slot = b * kinds.size() + k;
-                const RunOutcome &o = outcomes[pi * perPoint + slot];
+                const RunOutcome &o =
+                    campaign.runs[pi * perPoint + slot].outcome;
                 if (!o.ok()) {
                     complete = false;
                     continue;
@@ -202,5 +197,5 @@ main(int argc, char **argv)
     std::printf("\nReading: a robust controller keeps overshoot and "
                 "f-sd flat as noise/drops\ngrow; rising transitions "
                 "with flat occupancy means hunting on noise.\n");
-    return mcdbench::reportOutcomeFailures(tasks, outcomes);
+    return mcdbench::reportFailures(campaign);
 }

@@ -21,11 +21,9 @@ main(int argc, char **argv)
     mcdbench::banner("TABLE 2",
                      "Benchmark suite and spectral classification");
 
-    RunOptions opts;
-    opts.instructions = mcdbench::runLength(400000);
+    RunOptions opts = mcdbench::runOptions(400000);
     opts.recordTraces = true;
     opts.config.traceStride = 1;
-    mcdbench::applyObservability(opts);
 
     // The "interesting wavelength range" of Figure 8: workload
     // variation around and just above the 2500-sample fixed interval
@@ -39,14 +37,11 @@ main(int argc, char **argv)
                 "class", "expected");
     mcdbench::rule(92);
 
-    const auto shared = shareOptions(opts);
-    std::vector<RunTask> tasks;
+    std::vector<RunSpec> specs;
     const auto &suite = benchmarkList();
-    tasks.reserve(suite.size());
     for (const auto &info : suite)
-        tasks.push_back(mcdBaselineTask(info.name, shared));
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
-    mcdbench::emitObservability(results);
+        specs.push_back(mcdBaselineSpec(info.name, opts));
+    const std::vector<SimResult> results = mcdbench::runAll(std::move(specs));
 
     int agree = 0, total = 0;
     for (std::size_t i = 0; i < suite.size(); ++i) {

@@ -1,9 +1,11 @@
 /**
  * @file
  * Execution-layer wall-clock benchmark: times one suite sweep (per
- * benchmark an MCD baseline plus an adaptive run) executed serially
- * and through the parallel runner, and reports per-run simulator
- * throughput (instructions/sec, kernel events/sec).
+ * benchmark an MCD baseline plus an adaptive run) through
+ * ParallelRunner::runOutcomes at jobs = 1 and at jobs = N, and
+ * reports per-run simulator throughput (instructions/sec, kernel
+ * events/sec). It drives the exec layer directly, below the cache,
+ * so --jobs is its only flag.
  *
  * Human-readable narration goes to stderr; stdout carries a single
  * JSON document so `bench_wallclock > BENCH_exec.json` captures the
@@ -31,21 +33,23 @@ struct SweepStats
     std::uint64_t instructions = 0;
     std::uint64_t events = 0;
     std::uint64_t wallTicksSum = 0; ///< fingerprint for cross-checks
+    std::size_t failed = 0;
 };
 
 SweepStats
 timedSweep(const ParallelRunner &runner, const std::vector<RunTask> &tasks)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<SimResult> results = runner.run(tasks);
+    const std::vector<RunOutcome> outcomes = runner.runOutcomes(tasks);
     const auto t1 = std::chrono::steady_clock::now();
 
     SweepStats s;
     s.seconds = std::chrono::duration<double>(t1 - t0).count();
-    for (const auto &r : results) {
-        s.instructions += r.instructions;
-        s.events += r.eventsProcessed;
-        s.wallTicksSum += r.wallTicks;
+    for (const auto &o : outcomes) {
+        s.failed += o.ok() ? 0 : 1;
+        s.instructions += o.result.instructions;
+        s.events += o.result.eventsProcessed;
+        s.wallTicksSum += o.result.wallTicks;
     }
     return s;
 }
@@ -55,19 +59,20 @@ timedSweep(const ParallelRunner &runner, const std::vector<RunTask> &tasks)
 int
 main(int argc, char **argv)
 {
+    mcdbench::restrictOptions({"--jobs"});
     mcdbench::parseHarnessArgs(argc, argv);
 
     RunOptions opts;
     opts.instructions = mcdbench::runLength(200000);
 
-    const auto shared = shareOptions(opts);
+    const auto shared = std::make_shared<const RunOptions>(opts);
     std::vector<RunTask> tasks;
-    const auto &suite = benchmarkList();
-    tasks.reserve(suite.size() * 2);
-    for (const auto &info : suite) {
-        tasks.push_back(mcdBaselineTask(info.name, shared));
-        tasks.push_back(
-            schemeTask(info.name, ControllerKind::Adaptive, shared));
+    for (const auto &info : benchmarkList()) {
+        for (const RunSpec &s :
+             {mcdBaselineSpec(info.name, opts),
+              schemeSpec(info.name, ControllerKind::Adaptive, opts)})
+            tasks.push_back({s.benchmark, s.kind, s.controller, s.seed,
+                             shared});
     }
 
     const std::size_t par_jobs = configuredJobs();
@@ -89,6 +94,12 @@ main(int argc, char **argv)
     const SweepStats parallel = timedSweep(par_runner, tasks);
     std::fprintf(stderr, "  %.3f s\n", parallel.seconds);
 
+    if (serial.failed || parallel.failed) {
+        std::fprintf(stderr, "bench_wallclock: %zu serial and %zu "
+                             "parallel runs failed\n",
+                     serial.failed, parallel.failed);
+        return 1;
+    }
     if (serial.wallTicksSum != parallel.wallTicksSum ||
         serial.instructions != parallel.instructions) {
         std::fprintf(stderr,

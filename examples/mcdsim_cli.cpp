@@ -85,7 +85,7 @@ cacheCommand(int argc, char **argv)
         if (arg == "--cache-dir") {
             dir = value();
         } else if (arg == "--max-bytes") {
-            max_bytes = std::strtoull(value().c_str(), nullptr, 10);
+            max_bytes = mcd::parseUint(value(), "--max-bytes");
             have_max = true;
         } else {
             mcd::fatal("unknown cache option '%s'", arg.c_str());
@@ -155,9 +155,9 @@ try {
         } else if (arg == "--scheme") {
             scheme = value();
         } else if (arg == "--insts") {
-            opts.instructions = std::strtoull(value().c_str(), nullptr, 10);
+            opts.instructions = mcd::parseUint(value(), "--insts");
         } else if (arg == "--seed") {
-            opts.seed = std::strtoull(value().c_str(), nullptr, 10);
+            opts.seed = mcd::parseUint(value(), "--seed");
         } else if (arg == "--baseline") {
             with_baseline = true;
         } else if (arg == "--csv") {

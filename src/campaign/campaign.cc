@@ -1,10 +1,13 @@
 #include "campaign/campaign.hh"
 
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/check.hh"
 #include "common/error.hh"
+#include "common/parse.hh"
 
 namespace mcd
 {
@@ -66,20 +69,6 @@ unescapeText(const std::string &text)
     return out;
 }
 
-std::uint64_t
-parseU64(const std::string &v, const char *what)
-{
-    if (v.empty())
-        mergeFail(std::string("empty ") + what);
-    std::uint64_t n = 0;
-    for (char c : v) {
-        if (c < '0' || c > '9')
-            mergeFail(std::string("bad ") + what + " '" + v + "'");
-        n = n * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return n;
-}
-
 /** One parsed manifest line (everything merge needs per run). */
 struct ManifestRow
 {
@@ -114,19 +103,26 @@ readManifest(const std::string &path)
         return line.substr(std::string(prefix).size());
     };
 
+    auto number = [](const std::string &v, std::uint64_t max) {
+        return parseUint(v, "campaign-merge", max);
+    };
+    constexpr std::uint64_t kSizeMax =
+        std::numeric_limits<std::size_t>::max();
+    constexpr std::uint64_t kU32Max =
+        std::numeric_limits<std::uint32_t>::max();
+
     if (expect(kManifestTag) != "")
         mergeFail("manifest '" + path + "': bad tag line");
-    const std::uint64_t schema = parseU64(expect("schema="), "schema");
+    const std::uint64_t schema = number(expect("schema="), kU32Max);
     if (schema != kRunSpecSchemaVersion)
         mergeFail("manifest '" + path + "': schema " +
                   std::to_string(schema) + " != current " +
                   std::to_string(kRunSpecSchemaVersion));
 
     Manifest m;
-    m.total = static_cast<std::size_t>(parseU64(expect("total="),
-                                                "total"));
+    m.total = static_cast<std::size_t>(number(expect("total="), kSizeMax));
     m.shard = parseShard(expect("shard="));
-    const std::uint64_t runs = parseU64(expect("runs="), "runs");
+    const std::uint64_t runs = number(expect("runs="), kSizeMax);
 
     for (std::uint64_t i = 0; i < runs; ++i) {
         std::string line;
@@ -145,18 +141,15 @@ readManifest(const std::string &path)
         }
         const auto sp = line.find(' ', start);
         ManifestRow row;
-        row.index = static_cast<std::size_t>(
-            parseU64(tok[0], "run index"));
+        row.index = static_cast<std::size_t>(number(tok[0], kSizeMax));
         row.digest = tok[1];
         row.status = statusFromName(tok[2]);
-        row.attempts = static_cast<std::uint32_t>(
-            parseU64(tok[3], "attempts"));
+        row.attempts = static_cast<std::uint32_t>(number(tok[3], kU32Max));
         if (sp == std::string::npos) {
-            row.fromCache =
-                parseU64(line.substr(start), "cache flag") != 0;
+            row.fromCache = number(line.substr(start), 1) != 0;
         } else {
-            row.fromCache = parseU64(line.substr(start, sp - start),
-                                     "cache flag") != 0;
+            row.fromCache =
+                number(line.substr(start, sp - start), 1) != 0;
             row.error = unescapeText(line.substr(sp + 1));
         }
         m.rows.push_back(std::move(row));
@@ -213,37 +206,28 @@ Shard
 parseShard(const std::string &text)
 {
     const auto slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size())
+    if (slash == std::string::npos)
         throw ConfigError("--shard",
                           "expected i/N, got '" + text + "'");
-    auto parseField = [&](const std::string &v) -> std::uint64_t {
-        std::uint64_t n = 0;
-        if (v.empty())
-            throw ConfigError("--shard",
-                              "expected i/N, got '" + text + "'");
-        for (char c : v) {
-            if (c < '0' || c > '9')
-                throw ConfigError("--shard",
-                                  "expected i/N, got '" + text + "'");
-            n = n * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        return n;
+    auto field = [](std::string_view v) {
+        return static_cast<std::uint32_t>(parseUint(
+            v, "--shard", std::numeric_limits<std::uint32_t>::max()));
     };
-    const std::uint64_t index = parseField(text.substr(0, slash));
-    const std::uint64_t count = parseField(text.substr(slash + 1));
-    if (count == 0 || index == 0 || index > count)
+    Shard s;
+    s.index = field(std::string_view(text).substr(0, slash));
+    s.count = field(std::string_view(text).substr(slash + 1));
+    if (s.count == 0 || s.index == 0 || s.index > s.count)
         throw ConfigError("--shard", "shard index out of range in '" +
                                          text + "' (need 1 <= i <= N)");
-    Shard s;
-    s.index = static_cast<std::uint32_t>(index);
-    s.count = static_cast<std::uint32_t>(count);
     return s;
 }
 
-Campaign::Campaign(CampaignSpec spec, RunCache *run_cache)
-    : cspec(std::move(spec)), cache(run_cache),
-      expansion(expandCampaign(cspec))
+Campaign::Campaign(const CampaignSpec &spec, RunCache *run_cache)
+    : Campaign(expandCampaign(spec), run_cache)
+{}
+
+Campaign::Campaign(std::vector<RunSpec> specs, RunCache *run_cache)
+    : cache(run_cache), expansion(std::move(specs))
 {}
 
 CampaignResult
@@ -279,7 +263,9 @@ Campaign::run(const Shard &shard)
     }
 
     if (!missIndex.empty()) {
-        const auto shared = shareOptions(cspec.options);
+        // Each task borrows its own run's options: an aliasing pointer
+        // with no owner, valid while out.runs stays put (it does until
+        // the fan-in below finishes).
         std::vector<RunTask> tasks;
         tasks.reserve(missIndex.size());
         for (std::size_t pos : missIndex) {
@@ -289,7 +275,8 @@ Campaign::run(const Shard &shard)
             t.kind = s.kind;
             t.controller = s.controller;
             t.seed = s.seed;
-            t.opts = shared;
+            t.opts = std::shared_ptr<const RunOptions>(
+                std::shared_ptr<const RunOptions>(), &s.options);
             tasks.push_back(std::move(t));
         }
 
@@ -431,9 +418,9 @@ comparisonRows(const CampaignSpec &spec, const CampaignResult &result)
         seeds.push_back(spec.options.seed);
     const bool multiSeed = seeds.size() > 1;
 
-    // Mirrors runComparison()'s normalization: a failed scheme run
-    // fails its own row, a failed baseline fails every row of that
-    // (seed, benchmark) group with its error context.
+    // Graceful degradation: a failed scheme run fails its own row, a
+    // failed baseline fails every row of that (seed, benchmark) group
+    // with its error context.
     auto makeRow = [&](const std::string &name, std::string label,
                        const CampaignRun &run, const CampaignRun &base,
                        std::uint64_t seed) {

@@ -5,7 +5,9 @@
  * A campaign is the declarative form of the paper's evaluation: the
  * cross product of benchmarks x schemes x seeds (plus the MCD and
  * synchronous baselines), expanded into canonical RunSpecs in a
- * deterministic order. Execution then becomes bookkeeping:
+ * deterministic order. Any other explicit RunSpec list runs the same
+ * way (every harness in bench/ launches its runs through Campaign).
+ * Execution then becomes bookkeeping:
  *
  *   1. expansion index i belongs to shard (index, count) iff
  *      i % count == index - 1 — a pure function of the spec, so N
@@ -59,8 +61,7 @@ struct CampaignSpec
 
 /**
  * The campaign's RunSpecs in canonical order: seed-major, then
- * benchmark, then [mcd-baseline, sync-baseline, schemes...]. For a
- * single seed this is exactly runComparison()'s task order. Throws
+ * benchmark, then [mcd-baseline, sync-baseline, schemes...]. Throws
  * ConfigError when the spec expands to nothing.
  */
 std::vector<RunSpec> expandCampaign(const CampaignSpec &spec);
@@ -106,14 +107,22 @@ struct CampaignResult
     RunCache::Stats cacheStats{};
 };
 
-/** Expands a CampaignSpec once and runs shards of it. */
+/**
+ * Runs shards of an explicit RunSpec list: the one engine behind
+ * every simulating harness. A CampaignSpec is the declarative
+ * shorthand for the paper's cross product; any other sweep (an
+ * ablation's config variants, a single figure run) passes its specs
+ * directly, each carrying its own RunOptions.
+ */
 class Campaign
 {
   public:
     /** @p cache may be null: every run executes, nothing is stored. */
-    explicit Campaign(CampaignSpec spec, RunCache *cache = nullptr);
+    explicit Campaign(const CampaignSpec &spec, RunCache *cache = nullptr);
 
-    const CampaignSpec &spec() const { return cspec; }
+    /** Run exactly @p specs, in this order. */
+    explicit Campaign(std::vector<RunSpec> specs,
+                      RunCache *cache = nullptr);
 
     /** The full expansion, canonical order. */
     const std::vector<RunSpec> &runs() const { return expansion; }
@@ -121,12 +130,12 @@ class Campaign
     /**
      * Run this shard: serve cache hits, execute misses on
      * ParallelRunner (configuredJobs() workers, full retry / fault /
-     * deadline isolation), store first-attempt-clean results back.
+     * deadline isolation, each run under its own spec's options),
+     * store first-attempt-clean results back.
      */
     CampaignResult run(const Shard &shard = Shard{});
 
   private:
-    CampaignSpec cspec;
     RunCache *cache;
     std::vector<RunSpec> expansion;
 };
@@ -154,9 +163,10 @@ CampaignResult mergeShards(const CampaignSpec &spec,
  * The comparison table of a *complete* result (a 1/1 shard or a
  * merge): per seed and benchmark, every scheme (and the synchronous
  * baseline, when included) normalized against that benchmark's MCD
- * baseline, exactly as runComparison() does — for a single-seed
- * campaign the rows are byte-identical to it. Multi-seed campaigns
- * suffix scheme labels with "#s<seed>". Requires
+ * baseline. A failed scheme run fails only its own row; a failed
+ * baseline fails every row of its (seed, benchmark) group, each
+ * carrying the baseline's error. Multi-seed campaigns suffix scheme
+ * labels with "#s<seed>". Requires
  * spec.includeMcdBaseline; throws ConfigError otherwise.
  */
 std::vector<ComparisonRow> comparisonRows(const CampaignSpec &spec,

@@ -11,6 +11,7 @@
 #include "campaign/result_io.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace fs = std::filesystem;
 
@@ -127,10 +128,11 @@ struct Envelope
         if (header.rfind(prefix, 0) != 0)
             return false;
         std::uint64_t len = 0;
-        for (char c : header.substr(prefix.size())) {
-            if (c < '0' || c > '9')
-                return false;
-            len = len * 10 + static_cast<std::uint64_t>(c - '0');
+        try {
+            len = parseUint(std::string_view(header).substr(prefix.size()),
+                            "cache-entry", text.size() - pos);
+        } catch (const ConfigError &) {
+            return false;
         }
         if (pos + len + 1 > text.size() || text[pos + len] != '\n')
             return false;

@@ -31,6 +31,7 @@
 #include "common/digest.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "control/abstract_plant.hh"

@@ -55,17 +55,17 @@ syncBaselineSpec(std::string benchmark, const RunOptions &opts)
 }
 
 std::string
-runLabel(const RunSpec &spec)
+runLabel(RunKind kind, ControllerKind controller)
 {
-    switch (spec.kind) {
+    switch (kind) {
       case RunKind::Scheme:
-        return controllerKindName(spec.controller);
+        return controllerKindName(controller);
       case RunKind::McdBaseline:
         return "mcd-baseline";
       case RunKind::SyncBaseline:
         return "sync-baseline";
     }
-    panic("unknown run kind %d", static_cast<int>(spec.kind));
+    panic("unknown run kind %d", static_cast<int>(kind));
 }
 
 namespace

@@ -2,10 +2,10 @@
  * @file
  * RunSpec: the canonical description of one simulation run.
  *
- * Every way of launching a run — the legacy runBenchmark /
- * run*Baseline overload family (core/runner.hh), the execution
- * layer's RunTask fan-out (exec/parallel_runner.hh), and the campaign
- * engine (campaign/campaign.hh) — bottoms out in one entry point:
+ * Every way of launching a run — the execution layer's RunTask
+ * fan-out (exec/parallel_runner.hh) and the campaign engine
+ * (campaign/campaign.hh) built on it — bottoms out in one entry
+ * point:
  *
  *   SimResult r = mcd::run(spec);
  *
@@ -52,7 +52,7 @@ namespace mcd
  */
 constexpr std::uint32_t kRunSpecSchemaVersion = 1;
 
-/** What a run simulates (previously exec's RunTaskKind). */
+/** What a run simulates. */
 enum class RunKind : std::uint8_t
 {
     Scheme,       ///< RunSpec::controller drives the controlled domains
@@ -87,13 +87,18 @@ RunSpec syncBaselineSpec(std::string benchmark, const RunOptions &opts);
 /** @} */
 
 /** Report label: the scheme name, or the baseline's fixed label. */
-std::string runLabel(const RunSpec &spec);
+std::string runLabel(RunKind kind, ControllerKind controller);
+
+inline std::string
+runLabel(const RunSpec &spec)
+{
+    return runLabel(spec.kind, spec.controller);
+}
 
 /**
  * The effective SimConfig of @p spec: options.config with the
  * controller / seed / mcdEnabled / observability / fault-label
- * overrides the run kind implies. This is exactly the config the
- * legacy overloads built, so the shim path is byte-identical.
+ * overrides the run kind implies.
  */
 SimConfig resolveConfig(const RunSpec &spec);
 

@@ -1,7 +1,5 @@
 #include "core/runner.hh"
 
-#include "core/run_spec.hh"
-
 namespace mcd
 {
 
@@ -15,55 +13,6 @@ runStatusName(RunStatus status)
       case RunStatus::TimedOut: return "timed_out";
     }
     return "?";
-}
-
-// The legacy overload family is now a set of thin shims over the one
-// canonical entry point, run() in core/run_spec.hh. They route through
-// the exact same resolveConfig + execute path as run(RunSpec), so
-// their output is byte-identical (tests/core/test_runner.cc pins it).
-
-SimResult
-runBenchmark(const std::string &benchmark, ControllerKind kind,
-             const RunOptions &opts, std::uint64_t seed)
-{
-    return run(benchmark, RunKind::Scheme, kind, seed, opts);
-}
-
-SimResult
-runBenchmark(const std::string &benchmark, ControllerKind kind,
-             const RunOptions &opts)
-{
-    return run(benchmark, RunKind::Scheme, kind, opts.seed, opts);
-}
-
-SimResult
-runSynchronousBaseline(const std::string &benchmark,
-                       const RunOptions &opts, std::uint64_t seed)
-{
-    return run(benchmark, RunKind::SyncBaseline, ControllerKind::Fixed,
-               seed, opts);
-}
-
-SimResult
-runSynchronousBaseline(const std::string &benchmark, const RunOptions &opts)
-{
-    return run(benchmark, RunKind::SyncBaseline, ControllerKind::Fixed,
-               opts.seed, opts);
-}
-
-SimResult
-runMcdBaseline(const std::string &benchmark, const RunOptions &opts,
-               std::uint64_t seed)
-{
-    return run(benchmark, RunKind::McdBaseline, ControllerKind::Fixed,
-               seed, opts);
-}
-
-SimResult
-runMcdBaseline(const std::string &benchmark, const RunOptions &opts)
-{
-    return run(benchmark, RunKind::McdBaseline, ControllerKind::Fixed,
-               opts.seed, opts);
 }
 
 } // namespace mcd

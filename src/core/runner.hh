@@ -1,10 +1,10 @@
 /**
  * @file
- * Experiment primitives: build a processor for one (benchmark,
- * controller, seed) triple and run it. Suite-level fan-out — the
- * paper's comparison tables across many benchmarks and schemes —
- * lives in exec/parallel_runner.hh, which runs these primitives on a
- * worker pool.
+ * Run options, run status and comparison rows: the vocabulary shared
+ * by the one run entry point (mcd::run in core/run_spec.hh), the
+ * execution layer's fan-out (exec/parallel_runner.hh) and the
+ * campaign engine every harness launches its runs through
+ * (campaign/campaign.hh).
  */
 
 #ifndef MCDSIM_CORE_RUNNER_HH
@@ -19,7 +19,8 @@
 namespace mcd
 {
 
-/** Options shared by a batch of runs. */
+/** How to run a simulation: length, seed, observability, isolation
+ *  and the SimConfig. Every RunSpec carries its own copy. */
 struct RunOptions
 {
     /** Instructions per benchmark run. */
@@ -87,46 +88,6 @@ struct ComparisonRow
     std::uint32_t attempts = 1;
     std::string error;
 };
-
-/**
- * @{
- * Deprecated overload family (since the RunSpec redesign): thin shims
- * over the canonical entry point `mcd::run(RunSpec)` declared in
- * core/run_spec.hh, kept for one PR so downstream code keeps
- * compiling. They produce byte-identical output to the RunSpec path
- * (same resolveConfig, same execute path — pinned by
- * tests/core/test_runner.cc). New code should build a RunSpec (or use
- * the schemeSpec/mcdBaselineSpec/syncBaselineSpec builders) and call
- * run().
- *
- * Run @p benchmark under @p kind with @p seed (the explicit-seed
- * forms let a task runner sweep seeds without copying RunOptions).
- * The synchronous full-speed baseline is ControllerKind::Fixed with
- * mcdEnabled = false.
- */
-SimResult runBenchmark(const std::string &benchmark, ControllerKind kind,
-                       const RunOptions &opts, std::uint64_t seed);
-SimResult runBenchmark(const std::string &benchmark, ControllerKind kind,
-                       const RunOptions &opts);
-
-/** Baseline = conventional synchronous processor at f_max. */
-SimResult runSynchronousBaseline(const std::string &benchmark,
-                                 const RunOptions &opts,
-                                 std::uint64_t seed);
-SimResult runSynchronousBaseline(const std::string &benchmark,
-                                 const RunOptions &opts);
-
-/**
- * Baseline = the MCD processor at full speed with DVFS disabled.
- * This is the reference every DVFS scheme is normalized against (as
- * in the paper's evaluation); the synchronous baseline additionally
- * quantifies the one-time MCD synchronization overhead.
- */
-SimResult runMcdBaseline(const std::string &benchmark,
-                         const RunOptions &opts, std::uint64_t seed);
-SimResult runMcdBaseline(const std::string &benchmark,
-                         const RunOptions &opts);
-/** @} */
 
 } // namespace mcd
 

@@ -7,9 +7,12 @@
  * function of its inputs (tests/integration/test_determinism.cc
  * enforces this). That makes the whole suite embarrassingly parallel:
  * ParallelRunner fans RunTask units out over a WorkerPool, runs each
- * in its own McdProcessor, and hands the results back in task-
+ * in its own McdProcessor, and hands the outcomes back in task-
  * submission order — so any table built from them is byte-identical
- * to a serial run, regardless of completion order.
+ * to a serial run, regardless of completion order. Harnesses do not
+ * call it directly: they describe RunSpecs and run them through
+ * Campaign (campaign/campaign.hh), which serves cache hits and hands
+ * the misses to runOutcomes().
  *
  * Concurrency knob, in precedence order:
  *   1. setConfiguredJobs() — e.g. from a harness --jobs flag;
@@ -36,52 +39,19 @@ namespace mcd
 class ExecProfile;
 
 /**
- * What a RunTask simulates. RunKind (core/run_spec.hh) is the
- * canonical enum since the RunSpec redesign; this alias keeps the
- * exec-layer spelling compiling.
- */
-using RunTaskKind = RunKind;
-
-/**
- * One independent simulation run. Tasks share one immutable
- * RunOptions copy (instructions, config, trace flags); the per-task
- * seed overrides RunOptions::seed so seed sweeps need no per-task
- * config duplication.
+ * One independent simulation run, described piecewise so a fan-out
+ * can point every task at options it already holds (Campaign points
+ * each task at its own RunSpec's options; nothing is copied). The
+ * task seed overrides RunOptions::seed.
  */
 struct RunTask
 {
     std::string benchmark;
-    RunTaskKind kind = RunTaskKind::Scheme;
+    RunKind kind = RunKind::Scheme;
     ControllerKind controller = ControllerKind::Adaptive;
     std::uint64_t seed = 1;
     std::shared_ptr<const RunOptions> opts;
 };
-
-/** Share one RunOptions copy among many tasks. */
-inline std::shared_ptr<const RunOptions>
-shareOptions(RunOptions opts)
-{
-    return std::make_shared<const RunOptions>(std::move(opts));
-}
-
-/** @{ Task builders; the seed defaults to the shared options' seed. */
-RunTask schemeTask(std::string benchmark, ControllerKind controller,
-                   std::shared_ptr<const RunOptions> opts);
-RunTask mcdBaselineTask(std::string benchmark,
-                        std::shared_ptr<const RunOptions> opts);
-RunTask syncBaselineTask(std::string benchmark,
-                         std::shared_ptr<const RunOptions> opts);
-/** @} */
-
-/**
- * The RunSpec a task describes (materializes a private RunOptions
- * copy — the bridge for cache-key digests and the campaign layer;
- * execution itself stays on the shared-options path).
- */
-RunSpec taskSpec(const RunTask &task);
-
-/** Execute one task in this thread (the serial building block). */
-SimResult runTask(const RunTask &task);
 
 /**
  * One task's outcome under graceful degradation: status, how many
@@ -109,9 +79,6 @@ struct RunOutcome
  */
 RunOutcome runTaskOutcome(const RunTask &task);
 
-/** Report label of a task: scheme name or the baseline labels. */
-std::string runTaskLabel(const RunTask &task);
-
 /**
  * Resolved worker count: setConfiguredJobs override, else
  * MCDSIM_JOBS, else hardware concurrency (minimum 1). A malformed
@@ -138,18 +105,11 @@ class ParallelRunner
      * Record wall-clock profiling into @p p: per-task latency and
      * queue wait (via WorkerPool) plus "dispatch" and "run" phase
      * timers. Null disables profiling (the default); the profile must
-     * outlive every run() call. Profiling never touches simulation
-     * state, so results stay byte-identical with it on or off.
+     * outlive every runOutcomes() call. Profiling never touches
+     * simulation state, so results stay byte-identical with it on or
+     * off.
      */
     void setProfile(ExecProfile *p) { profile = p; }
-
-    /**
-     * Run every task; results in task order. A task that throws
-     * (e.g. a CheckFailure under ScopedCheckThrower) has its
-     * exception rethrown here, lowest task index first, after all
-     * tasks finish.
-     */
-    std::vector<SimResult> run(const std::vector<RunTask> &tasks) const;
 
     /**
      * Run every task with per-run isolation; outcomes in task order.
@@ -166,24 +126,6 @@ class ParallelRunner
     std::size_t jobCount;
     ExecProfile *profile = nullptr;
 };
-
-/**
- * Run every scheme in @p kinds on every benchmark in @p names in
- * parallel (configuredJobs() workers), normalizing against the
- * full-speed MCD baseline. Row order is (benchmark major, kind
- * minor), independent of completion order.
- */
-std::vector<ComparisonRow>
-runComparison(const std::vector<std::string> &names,
-              const std::vector<ControllerKind> &kinds,
-              const RunOptions &opts);
-
-/**
- * Rows whose run (or baseline) did not succeed. Harnesses use this
- * to print a failure summary and exit non-zero while still emitting
- * the partial table.
- */
-std::size_t failedRowCount(const std::vector<ComparisonRow> &rows);
 
 } // namespace mcd
 

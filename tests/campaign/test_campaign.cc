@@ -107,6 +107,65 @@ TEST(CampaignShard, ParseAndPartition)
     }
 }
 
+TEST(CampaignShard, RejectsFieldsThatWouldWrap)
+{
+    // 2^32 + 1 / 2^32 + 2 narrowed to uint32_t used to run as 1/2;
+    // 2^64 + 1 wrapped to 1 the same way.
+    EXPECT_THROW(parseShard("4294967297/4294967298"), ConfigError);
+    EXPECT_THROW(parseShard("18446744073709551617/2"), ConfigError);
+    EXPECT_THROW(parseShard("/3"), ConfigError);
+    EXPECT_THROW(parseShard("1/2/3"), ConfigError);
+    const Shard widest = parseShard("4294967295/4294967295");
+    EXPECT_EQ(widest.index, 4294967295u);
+    EXPECT_EQ(widest.count, 4294967295u);
+}
+
+TEST_F(CampaignTest, ExplicitSpecListRunsEachSpecUnderItsOwnOptions)
+{
+    // A spec list is a campaign too: each run takes its instruction
+    // budget and config from its own RunSpec, results come back in
+    // spec order, and the cache keys on each spec's own options.
+    RunOptions shortRun;
+    shortRun.instructions = 5000;
+    RunOptions longRun = shortRun;
+    longRun.instructions = 9000;
+    longRun.config.adaptive.levelDeviationWindow = 3.0;
+    const std::vector<RunSpec> specs = {
+        schemeSpec("gzip", ControllerKind::Adaptive, longRun),
+        mcdBaselineSpec("gzip", shortRun),
+        schemeSpec("gzip", ControllerKind::Adaptive, shortRun),
+    };
+
+    RunCache cache = makeCache();
+    const CampaignResult cold = Campaign(specs, &cache).run();
+    ASSERT_EQ(cold.runs.size(), 3u);
+    EXPECT_EQ(cold.failed, 0u);
+    EXPECT_EQ(cold.runs[0].outcome.result.instructions, 9000u);
+    EXPECT_EQ(cold.runs[1].outcome.result.instructions, 5000u);
+    EXPECT_EQ(cold.runs[2].outcome.result.instructions, 5000u);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(cold.runs[i].digest, specDigest(specs[i]));
+        EXPECT_EQ(resultCsvRow(cold.runs[i].outcome.result),
+                  resultCsvRow(run(specs[i])));
+    }
+
+    const CampaignResult warm = Campaign(specs, &cache).run();
+    EXPECT_EQ(warm.cached, 3u);
+    EXPECT_EQ(resultCsvRow(warm.runs[0].outcome.result),
+              resultCsvRow(cold.runs[0].outcome.result));
+}
+
+TEST(CampaignExpand, SpecConstructorMatchesExpansion)
+{
+    const CampaignSpec spec = quickCampaign();
+    const Campaign fromSpec(spec);
+    const Campaign fromList(expandCampaign(spec));
+    ASSERT_EQ(fromSpec.runs().size(), fromList.runs().size());
+    for (std::size_t i = 0; i < fromSpec.runs().size(); ++i)
+        EXPECT_EQ(canonicalText(fromSpec.runs()[i]),
+                  canonicalText(fromList.runs()[i]));
+}
+
 TEST_F(CampaignTest, WarmRunServesEverythingFromCache)
 {
     const CampaignSpec spec = quickCampaign();

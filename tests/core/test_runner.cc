@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/report.hh"
+#include "campaign/campaign.hh"
 #include "core/run_spec.hh"
 #include "core/runner.hh"
-#include "exec/parallel_runner.hh"
 
 namespace mcd
 {
@@ -18,6 +17,18 @@ quickOpts()
     RunOptions opts;
     opts.instructions = 40000;
     return opts;
+}
+
+/** The comparison table of @p kinds on @p names, via Campaign. */
+std::vector<ComparisonRow>
+compareSchemes(std::vector<std::string> names,
+               std::vector<ControllerKind> kinds, const RunOptions &opts)
+{
+    CampaignSpec cs;
+    cs.benchmarks = std::move(names);
+    cs.schemes = std::move(kinds);
+    cs.options = opts;
+    return comparisonRows(cs, Campaign(cs).run());
 }
 
 TEST(Metrics, CompareMath)
@@ -58,9 +69,9 @@ TEST(Metrics, EdpAndEd2p)
 TEST(Runner, BaselinesAreLabeled)
 {
     const auto opts = quickOpts();
-    const SimResult sync = runSynchronousBaseline("adpcm_enc", opts);
+    const SimResult sync = run(syncBaselineSpec("adpcm_enc", opts));
     EXPECT_EQ(sync.controller, "sync-baseline");
-    const SimResult mcd = runMcdBaseline("adpcm_enc", opts);
+    const SimResult mcd = run(mcdBaselineSpec("adpcm_enc", opts));
     EXPECT_EQ(mcd.controller, "mcd-baseline");
     EXPECT_EQ(sync.instructions, mcd.instructions);
 }
@@ -69,7 +80,7 @@ TEST(Runner, RunBenchmarkHonorsScheme)
 {
     const auto opts = quickOpts();
     const SimResult r =
-        runBenchmark("adpcm_enc", ControllerKind::Adaptive, opts);
+        run(schemeSpec("adpcm_enc", ControllerKind::Adaptive, opts));
     EXPECT_EQ(r.controller, "adaptive");
     EXPECT_EQ(r.benchmark, "adpcm_enc");
     EXPECT_EQ(r.instructions, opts.instructions);
@@ -78,7 +89,7 @@ TEST(Runner, RunBenchmarkHonorsScheme)
 TEST(Runner, ComparisonRowsCoverMatrix)
 {
     const auto opts = quickOpts();
-    const auto rows = runComparison(
+    const auto rows = compareSchemes(
         {"adpcm_enc", "swim"},
         {ControllerKind::Adaptive, ControllerKind::Pid}, opts);
     ASSERT_EQ(rows.size(), 4u);
@@ -94,36 +105,9 @@ TEST(Runner, AdaptiveSavesEnergyOnIdleFpDomain)
     // the full-speed MCD baseline even on a short run.
     const auto opts = quickOpts();
     const auto rows =
-        runComparison({"adpcm_enc"}, {ControllerKind::Adaptive}, opts);
+        compareSchemes({"adpcm_enc"}, {ControllerKind::Adaptive}, opts);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_GT(rows[0].vsBaseline.energySavings, 0.0);
-}
-
-TEST(RunnerShims, LegacyOverloadsMatchRunSpec)
-{
-    // The deprecated overload family must stay a zero-cost veneer:
-    // byte-identical artifacts to the canonical run(RunSpec) path,
-    // including the rendered stats dump.
-    RunOptions opts = quickOpts();
-    opts.collectStats = true;
-
-    const SimResult legacy =
-        runBenchmark("adpcm_enc", ControllerKind::Adaptive, opts);
-    const SimResult canonical =
-        run(schemeSpec("adpcm_enc", ControllerKind::Adaptive, opts));
-    EXPECT_EQ(resultCsvRow(legacy), resultCsvRow(canonical));
-    EXPECT_EQ(resultJson(legacy), resultJson(canonical));
-    EXPECT_EQ(legacy.statsText, canonical.statsText);
-
-    const SimResult legacyMcd = runMcdBaseline("adpcm_enc", opts, 3);
-    RunSpec mcdSpec = mcdBaselineSpec("adpcm_enc", opts);
-    mcdSpec.seed = 3;
-    EXPECT_EQ(resultCsvRow(legacyMcd), resultCsvRow(run(mcdSpec)));
-
-    const SimResult legacySync =
-        runSynchronousBaseline("adpcm_enc", opts);
-    EXPECT_EQ(resultCsvRow(legacySync),
-              resultCsvRow(run(syncBaselineSpec("adpcm_enc", opts))));
 }
 
 TEST(Runner, SeedChangesWorkload)
@@ -132,8 +116,8 @@ TEST(Runner, SeedChangesWorkload)
     a.seed = 1;
     RunOptions b = quickOpts();
     b.seed = 2;
-    const SimResult ra = runMcdBaseline("gzip", a);
-    const SimResult rb = runMcdBaseline("gzip", b);
+    const SimResult ra = run(mcdBaselineSpec("gzip", a));
+    const SimResult rb = run(mcdBaselineSpec("gzip", b));
     EXPECT_NE(ra.wallTicks, rb.wallTicks);
 }
 

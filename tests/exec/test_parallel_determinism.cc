@@ -2,9 +2,10 @@
  * @file
  * Parallel-vs-serial determinism: the execution layer promises that a
  * suite executed through the worker pool is byte-identical to the
- * same suite executed serially. This runs the same task list under
- * MCDSIM_JOBS=1 and MCDSIM_JOBS=8 (the environment path the harness
- * knob uses) and compares the fully serialized reports.
+ * same suite executed serially. This runs the same spec list through
+ * Campaign (the harnesses' launch path) under MCDSIM_JOBS=1 and
+ * MCDSIM_JOBS=8 (the environment path the harness knob uses) and
+ * compares the fully serialized reports.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hh"
 #include "core/report.hh"
 #include "exec/parallel_runner.hh"
 
@@ -49,6 +51,18 @@ class ScopedEnv
     bool hadOld = false;
 };
 
+/** Results of @p specs through Campaign, all of which must succeed. */
+std::vector<SimResult>
+runSpecs(std::vector<RunSpec> specs)
+{
+    const CampaignResult result = Campaign(std::move(specs)).run();
+    EXPECT_EQ(result.failed, 0u);
+    std::vector<SimResult> out;
+    for (const auto &r : result.runs)
+        out.push_back(r.outcome.result);
+    return out;
+}
+
 /** Serialized bytes of one suite sweep under the current MCDSIM_JOBS. */
 std::string
 sweepBytes()
@@ -56,19 +70,18 @@ sweepBytes()
     RunOptions opts;
     opts.instructions = 80000;
     opts.recordTraces = true; // traces widen the surface a race could hit
-    const auto shared = shareOptions(opts);
 
-    std::vector<RunTask> tasks;
+    std::vector<RunSpec> specs;
     for (const char *name : {"gzip", "epic_decode", "adpcm_enc"}) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        tasks.push_back(schemeTask(name, ControllerKind::Adaptive, shared));
-        tasks.push_back(schemeTask(name, ControllerKind::Pid, shared));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        specs.push_back(schemeSpec(name, ControllerKind::Adaptive, opts));
+        specs.push_back(schemeSpec(name, ControllerKind::Pid, opts));
     }
-    // Per-task seeds exercise the seed-sweep path as well.
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-        tasks[i].seed = 1 + i % 3;
+    // Per-run seeds exercise the seed-sweep path as well.
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        specs[i].seed = 1 + i % 3;
 
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
+    const std::vector<SimResult> results = runSpecs(std::move(specs));
 
     std::ostringstream os;
     os << resultCsvHeader() << '\n';
@@ -85,15 +98,14 @@ observabilityBytes()
     opts.instructions = 40000;
     opts.collectStats = true;
     opts.trace.enabled = true;
-    const auto shared = shareOptions(opts);
 
-    std::vector<RunTask> tasks;
+    std::vector<RunSpec> specs;
     for (const char *name : {"gzip", "epic_decode"}) {
-        tasks.push_back(mcdBaselineTask(name, shared));
-        tasks.push_back(schemeTask(name, ControllerKind::Adaptive, shared));
+        specs.push_back(mcdBaselineSpec(name, opts));
+        specs.push_back(schemeSpec(name, ControllerKind::Adaptive, opts));
     }
 
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
+    const std::vector<SimResult> results = runSpecs(std::move(specs));
 
     std::string bytes;
     for (const auto &r : results) {
@@ -108,11 +120,11 @@ observabilityBytes()
 std::string
 comparisonBytes()
 {
-    RunOptions opts;
-    opts.instructions = 60000;
-    const auto rows = runComparison(
-        {"gzip", "swim"},
-        {ControllerKind::Adaptive, ControllerKind::AttackDecay}, opts);
+    CampaignSpec cs;
+    cs.benchmarks = {"gzip", "swim"};
+    cs.schemes = {ControllerKind::Adaptive, ControllerKind::AttackDecay};
+    cs.options.instructions = 60000;
+    const auto rows = comparisonRows(cs, Campaign(cs).run());
     std::ostringstream os;
     writeComparisonCsv(os, rows);
     return os.str();

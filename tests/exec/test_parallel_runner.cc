@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/check.hh"
 #include "core/report.hh"
 #include "exec/parallel_runner.hh"
 
@@ -34,17 +33,34 @@ serialize(const SimResult &r)
     return os.str();
 }
 
+/** A mixed task list (every run kind), sharing one options copy. */
 std::vector<RunTask>
-mixedTasks(const std::shared_ptr<const RunOptions> &shared)
+mixedTasks()
 {
-    return {
-        mcdBaselineTask("gzip", shared),
-        schemeTask("gzip", ControllerKind::Adaptive, shared),
-        schemeTask("gzip", ControllerKind::Pid, shared),
-        syncBaselineTask("epic_decode", shared),
-        schemeTask("epic_decode", ControllerKind::AttackDecay, shared),
-        schemeTask("adpcm_enc", ControllerKind::Adaptive, shared),
-    };
+    const RunOptions opts = quickOpts();
+    const auto shared = std::make_shared<const RunOptions>(opts);
+    std::vector<RunTask> tasks;
+    for (const RunSpec &s :
+         {mcdBaselineSpec("gzip", opts),
+          schemeSpec("gzip", ControllerKind::Adaptive, opts),
+          schemeSpec("gzip", ControllerKind::Pid, opts),
+          syncBaselineSpec("epic_decode", opts),
+          schemeSpec("epic_decode", ControllerKind::AttackDecay, opts),
+          schemeSpec("adpcm_enc", ControllerKind::Adaptive, opts)})
+        tasks.push_back({s.benchmark, s.kind, s.controller, s.seed, shared});
+    return tasks;
+}
+
+/** The results of a fan-out that must fully succeed. */
+std::vector<SimResult>
+results(const std::vector<RunOutcome> &outcomes)
+{
+    std::vector<SimResult> out;
+    for (const auto &o : outcomes) {
+        EXPECT_EQ(o.status, RunStatus::Ok) << o.error;
+        out.push_back(o.result);
+    }
+    return out;
 }
 
 /** RAII guard for an environment variable. */
@@ -76,14 +92,14 @@ class ScopedEnv
 
 TEST(ParallelRunner, SingleJobMatchesDirectSerialCalls)
 {
-    const auto shared = shareOptions(quickOpts());
-    const auto tasks = mixedTasks(shared);
+    const auto tasks = mixedTasks();
 
     std::vector<SimResult> direct;
     for (const auto &t : tasks)
-        direct.push_back(runTask(t));
+        direct.push_back(
+            run(t.benchmark, t.kind, t.controller, t.seed, *t.opts));
 
-    const auto pooled = ParallelRunner(1).run(tasks);
+    const auto pooled = results(ParallelRunner(1).runOutcomes(tasks));
     ASSERT_EQ(pooled.size(), direct.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
         EXPECT_EQ(serialize(pooled[i]), serialize(direct[i]))
@@ -94,11 +110,10 @@ TEST(ParallelRunner, ResultsComeBackInSubmissionOrder)
 {
     // Oversubscribe heavily so completion order scrambles relative to
     // submission order whenever the host allows it.
-    const auto shared = shareOptions(quickOpts());
-    const auto tasks = mixedTasks(shared);
+    const auto tasks = mixedTasks();
 
-    const auto serial = ParallelRunner(1).run(tasks);
-    const auto parallel = ParallelRunner(8).run(tasks);
+    const auto serial = results(ParallelRunner(1).runOutcomes(tasks));
+    const auto parallel = results(ParallelRunner(8).runOutcomes(tasks));
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serialize(parallel[i]), serialize(serial[i]))
@@ -107,24 +122,13 @@ TEST(ParallelRunner, ResultsComeBackInSubmissionOrder)
 
 TEST(ParallelRunner, TaskSeedOverridesSharedOptions)
 {
-    const auto shared = shareOptions(quickOpts());
-    RunTask a = schemeTask("mpeg2_dec", ControllerKind::Adaptive, shared);
+    RunTask a{"mpeg2_dec", RunKind::Scheme, ControllerKind::Adaptive, 1,
+              std::make_shared<const RunOptions>(quickOpts())};
     RunTask b = a;
     b.seed = a.seed + 41;
-    const auto results = ParallelRunner(2).run({a, b});
-    EXPECT_NE(serialize(results[0]), serialize(results[1]))
+    const auto out = results(ParallelRunner(2).runOutcomes({a, b}));
+    EXPECT_NE(serialize(out[0]), serialize(out[1]))
         << "per-task seed had no effect";
-}
-
-TEST(ParallelRunner, ExceptionInTaskPropagatesAfterAllFinish)
-{
-    ScopedCheckThrower thrower;
-    const auto shared = shareOptions(quickOpts());
-    std::vector<RunTask> tasks = mixedTasks(shared);
-    tasks[1].opts.reset(); // runTask() checks this and fails
-
-    EXPECT_THROW(ParallelRunner(4).run(tasks), CheckFailure);
-    EXPECT_THROW(ParallelRunner(1).run(tasks), CheckFailure);
 }
 
 TEST(ConfiguredJobs, OverrideBeatsEnvironment)

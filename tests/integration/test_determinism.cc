@@ -40,7 +40,7 @@ serializedRun(const std::string &benchmark, ControllerKind kind,
     opts.instructions = 120000;
     opts.seed = seed;
     opts.recordTraces = true;
-    return serialize(runBenchmark(benchmark, kind, opts));
+    return serialize(run(schemeSpec(benchmark, kind, opts)));
 }
 
 TEST(Determinism, SameSeedSameBytes)
@@ -54,26 +54,28 @@ TEST(Determinism, SameSeedSameBytes)
 
 TEST(Determinism, SeedSweepEachSeedReproducible)
 {
-    // The sweep fans out through the execution layer, using the
-    // per-task seed override on one shared options copy — every seed
-    // is run twice and each pair must match bytewise.
+    // The sweep fans out through Campaign, one spec per (seed, rep)
+    // — every seed is run twice and each pair must match bytewise.
     const std::vector<std::uint64_t> seeds = {1, 7, 42};
     RunOptions opts;
     opts.instructions = 120000;
     opts.recordTraces = true;
-    const auto shared = shareOptions(opts);
 
-    std::vector<RunTask> tasks;
-    tasks.reserve(seeds.size() * 2);
+    std::vector<RunSpec> specs;
+    specs.reserve(seeds.size() * 2);
     for (const auto seed : seeds) {
         for (int rep = 0; rep < 2; ++rep) {
-            RunTask t =
-                schemeTask("mpeg2_dec", ControllerKind::Adaptive, shared);
-            t.seed = seed;
-            tasks.push_back(std::move(t));
+            RunSpec s = schemeSpec("mpeg2_dec", ControllerKind::Adaptive,
+                                   opts);
+            s.seed = seed;
+            specs.push_back(std::move(s));
         }
     }
-    const std::vector<SimResult> results = ParallelRunner().run(tasks);
+    const CampaignResult result = Campaign(std::move(specs)).run();
+    ASSERT_EQ(result.failed, 0u);
+    std::vector<SimResult> results;
+    for (const auto &r : result.runs)
+        results.push_back(r.outcome.result);
 
     std::vector<std::string> reports;
     for (std::size_t i = 0; i < seeds.size(); ++i) {

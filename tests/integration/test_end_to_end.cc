@@ -29,10 +29,10 @@ TEST(EndToEnd, AdaptiveSavesEnergyOnAverage)
     double energy = 0.0, perf = 0.0;
     for (const auto &n : names) {
         const auto opts = mediumOpts();
-        const SimResult base = runMcdBaseline(n, opts);
-        const SimResult run =
-            runBenchmark(n, ControllerKind::Adaptive, opts);
-        const Comparison c = compare(run, base);
+        const SimResult base = run(mcdBaselineSpec(n, opts));
+        const SimResult adaptive =
+            run(schemeSpec(n, ControllerKind::Adaptive, opts));
+        const Comparison c = compare(adaptive, base);
         energy += c.energySavings;
         perf += c.perfDegradation;
     }
@@ -49,7 +49,7 @@ TEST(EndToEnd, Figure7ShapeFpFrequencyFollowsFpPhases)
     RunOptions opts = mediumOpts(500000);
     opts.recordTraces = true;
     const SimResult r =
-        runBenchmark("epic_decode", ControllerKind::Adaptive, opts);
+        run(schemeSpec("epic_decode", ControllerKind::Adaptive, opts));
     const auto buckets = r.fpFreqTrace.bucketMeans(20);
     ASSERT_EQ(buckets.size(), 20u);
     double lo = 2.0, hi = 0.0;
@@ -70,8 +70,8 @@ TEST(EndToEnd, SpectralClassifierSeparatesFastFromSlow)
     opts.recordTraces = true;
     opts.config.traceStride = 1;
 
-    const SimResult fast = runMcdBaseline("mpeg2_dec", opts);
-    const SimResult slow = runMcdBaseline("adpcm_enc", opts);
+    const SimResult fast = run(mcdBaselineSpec("mpeg2_dec", opts));
+    const SimResult slow = run(mcdBaselineSpec("adpcm_enc", opts));
 
     // Band between sample-scale noise and the fixed-interval length.
     const auto vf = sineMultitaperPsd(fast.fpQueueTrace.valueData(),
@@ -88,11 +88,11 @@ TEST(EndToEnd, AdaptiveBeatsPidOnFastVaryingWorkload)
     // The headline fast-variation claim at reduced scale: mpeg2's
     // macroblock-cadence swings defeat the 10 us fixed interval.
     const auto opts = mediumOpts(400000);
-    const SimResult base = runMcdBaseline("mpeg2_dec", opts);
+    const SimResult base = run(mcdBaselineSpec("mpeg2_dec", opts));
     const SimResult adaptive =
-        runBenchmark("mpeg2_dec", ControllerKind::Adaptive, opts);
+        run(schemeSpec("mpeg2_dec", ControllerKind::Adaptive, opts));
     const SimResult pid =
-        runBenchmark("mpeg2_dec", ControllerKind::Pid, opts);
+        run(schemeSpec("mpeg2_dec", ControllerKind::Pid, opts));
     const Comparison ca = compare(adaptive, base);
     const Comparison cp = compare(pid, base);
     EXPECT_GT(ca.edpImprovement, cp.edpImprovement);
@@ -105,7 +105,7 @@ TEST(EndToEnd, StabilityInPracticeNoRunawayFrequencyOscillation)
     RunOptions opts = mediumOpts();
     opts.recordTraces = true;
     const SimResult r =
-        runBenchmark("gcc", ControllerKind::Adaptive, opts);
+        run(schemeSpec("gcc", ControllerKind::Adaptive, opts));
     // INT domain: time-average far from both rails.
     EXPECT_GT(r.domains[0].avgFrequency, 300e6);
     EXPECT_LT(r.domains[0].avgFrequency, 999e6);
@@ -118,11 +118,11 @@ TEST(EndToEnd, EnergySavingsComeFromScaledDomains)
 {
     // For an integer-only benchmark the FP domain is the big saver.
     const auto opts = mediumOpts();
-    const SimResult base = runMcdBaseline("adpcm_enc", opts);
-    const SimResult run =
-        runBenchmark("adpcm_enc", ControllerKind::Adaptive, opts);
+    const SimResult base = run(mcdBaselineSpec("adpcm_enc", opts));
+    const SimResult adaptive =
+        run(schemeSpec("adpcm_enc", ControllerKind::Adaptive, opts));
     const double fp_base = base.domains[1].energy;
-    const double fp_run = run.domains[1].energy;
+    const double fp_run = adaptive.domains[1].energy;
     EXPECT_LT(fp_run, 0.6 * fp_base);
 }
 

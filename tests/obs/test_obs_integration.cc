@@ -24,7 +24,7 @@ obsOptions()
 SimResult
 tracedRun(const RunOptions &opts)
 {
-    return runBenchmark("epic_decode", ControllerKind::Adaptive, opts);
+    return run(schemeSpec("epic_decode", ControllerKind::Adaptive, opts));
 }
 
 TEST(ObsIntegration, DisabledByDefaultProducesNoArtifacts)
