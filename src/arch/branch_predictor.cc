@@ -1,6 +1,6 @@
 #include "arch/branch_predictor.hh"
 
-#include "common/logging.hh"
+#include "common/error.hh"
 
 namespace mcd
 {
@@ -35,7 +35,8 @@ BranchPredictor::BranchPredictor(const Config &config)
     if (!isPow2(cfg.bimodalEntries) || !isPow2(cfg.l1Entries) ||
         !isPow2(cfg.l2Entries) || !isPow2(cfg.chooserEntries) ||
         !isPow2(cfg.btbSets)) {
-        fatal("branch predictor tables must be powers of two");
+        configError("branch-predictor",
+                    "branch predictor tables must be powers of two");
     }
     bimodal.assign(cfg.bimodalEntries, 2); // weakly taken
     history.assign(cfg.l1Entries, 0);

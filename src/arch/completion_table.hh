@@ -79,6 +79,10 @@ class CompletionTable
                                     : e.completeTime + cross_penalty;
     }
 
+    /** Ring entries: a sequence number's slot is reused this many
+     *  instructions later. */
+    std::size_t capacity() const { return ring.size(); }
+
     /** Number of beginInst() and complete() calls so far. */
     std::uint64_t epoch() const { return _epoch; }
 

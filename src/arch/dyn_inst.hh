@@ -18,14 +18,15 @@ struct DynInst
     TraceInst in;
     InstSeqNum seq = 0;
 
-    /** @{ Pipeline timestamps (maxTick = not reached yet). */
-    Tick dispatchTime = maxTick;
-    Tick issueTime = maxTick;
+    /** Execution finishes at this time (maxTick = not issued yet). */
     Tick completeTime = maxTick;
-    /** @} */
 
     /** Entry became selectable in its issue queue at this time. */
     Tick queueVisibleTime = maxTick;
+
+    /** Cached time both source operands are usable; maxTick = ask the
+     *  completion table again. */
+    Tick srcReady = maxTick;
 
     bool issued = false;
 
@@ -34,13 +35,6 @@ struct DynInst
 
     /** Load that missed in the L1 D-cache (for MSHR accounting). */
     bool l1dMiss = false;
-
-    /** True once execution has finished (lazily, time-compared). */
-    bool
-    completedBy(Tick now) const
-    {
-        return completeTime != maxTick && completeTime <= now;
-    }
 };
 
 } // namespace mcd

@@ -112,6 +112,15 @@ class ExecError : public McdError
     {}
 };
 
+/**
+ * Throw ConfigError at @p site with a printf-formatted context: the
+ * parameter check of a model constructor. Out of line, like fatal(),
+ * so the constructor's error path stays one plain call and does not
+ * change how its fast path is compiled.
+ */
+[[noreturn]] void configError(const char *site, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 } // namespace mcd
 
 #endif // MCDSIM_COMMON_ERROR_HH

@@ -82,7 +82,7 @@ McdProcessor::McdProcessor(const SimConfig &config, WorkloadSource &source)
       fpQ("fp-queue", config.fpQueueSize),
       lsQ("ls-queue", config.lsQueueSize),
       intFus("int", config.intAlus, 1), fpFus("fp", config.fpAlus, 1),
-      sampler(*this), samplingPeriod(config.samplingPeriod()),
+      samplingPeriod(config.samplingPeriod()),
       freqTraces{TimeSeries{"int-freq-ghz", config.traceStride},
                  TimeSeries{"fp-freq-ghz", config.traceStride},
                  TimeSeries{"ls-freq-ghz", config.traceStride}},
@@ -105,7 +105,7 @@ McdProcessor::McdProcessor(const SimConfig &config, WorkloadSource &source)
         dc.initialVolt = vf.voltageAt(vf.fMax());
         dc.jitterEnabled = cfg.mcdEnabled && cfg.jitterEnabled;
         dc.jitterSeed = cfg.seed * 0x9e3779b9u + d;
-        domains.push_back(std::make_unique<ClockDomain>(eq, dc));
+        domains.push_back(std::make_unique<ClockDomain>(curTick, dc));
     }
 
     // Controllers and drivers for the INT, FP, LS domains.
@@ -120,18 +120,14 @@ McdProcessor::McdProcessor(const SimConfig &config, WorkloadSource &source)
             vf.fMax(), samplingPeriod));
     }
 
-    // Steady state holds one edge event per domain plus the sampler;
-    // pre-size the heap so the hot loop never reallocates.
-    eq.reserve(2 * numDomains + 2);
-
-    // Wire the per-edge work and launch the clocks and the sampler.
-    domains[0]->start(edgeThunk<&McdProcessor::frontEndTick>, this);
-    domains[1]->start(edgeThunk<&McdProcessor::intTick>, this);
-    domains[2]->start(edgeThunk<&McdProcessor::fpTick>, this);
-    domains[3]->start(edgeThunk<&McdProcessor::loadStoreTick>, this);
-    if (cfg.fiveDomainPartition)
-        domains[4]->start(edgeThunk<&McdProcessor::fetchTick>, this);
-    eq.schedule(&sampler, samplingPeriod);
+    // Launch the clocks and the sampler. A domain the partition lacks
+    // keeps its slot at maxTick and never fires.
+    slotTimes.fill(maxTick);
+    for (std::size_t d = 0; d < domains.size(); ++d) {
+        domains[d]->start();
+        slotTimes[d] = domains[d]->nextEdgeTime();
+    }
+    slotTimes[samplerSlot] = samplingPeriod;
 
     // Observability wiring: attach the trace sink (components cache
     // the pointer, so disabled tracing costs nothing at run time) and
@@ -176,7 +172,12 @@ McdProcessor::~McdProcessor() = default;
 void
 McdProcessor::registerStats()
 {
-    eq.registerStats(statsReg, "sim.eq");
+    statsReg.addIntCallback("sim.eq.processed",
+                            "events dispatched since construction",
+                            [this] { return eventsProcessed; });
+    const std::uint64_t pending = domains.size() + 1;
+    statsReg.addIntCallback("sim.eq.pending", "events scheduled at dump time",
+                            [pending] { return pending; });
     statsReg.addIntCallback("sim.samples", "DVFS sampler invocations",
                             [this] { return sampleCount; });
 
@@ -269,18 +270,6 @@ McdProcessor::registerStats()
                             [this] { return sync.penaltyCount(); });
 
     energy.registerStats(statsReg, "power", domains.size());
-}
-
-const ClockDomain &
-McdProcessor::domain(DomainId id) const
-{
-    return *domains[static_cast<std::size_t>(id)];
-}
-
-std::uint64_t
-McdProcessor::retiredInstructions() const
-{
-    return reorderBuffer.retiredCount();
 }
 
 DomainId
@@ -417,7 +406,6 @@ McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
 
         const DomainId exec_dom = domainFor(inst->in.cls);
         completion.beginInst(inst->seq, exec_dom);
-        inst->dispatchTime = now;
         // The queue write launches mid-way through the dispatching
         // front-end cycle (dispatch logic settles well before the next
         // edge); the consumer captures it at its first edge from then
@@ -458,7 +446,7 @@ McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
 void
 McdProcessor::frontEndTick()
 {
-    const Tick now = eq.now();
+    const Tick now = curTick;
     unsigned retired = 0;
     unsigned dispatched = 0;
 
@@ -488,7 +476,7 @@ McdProcessor::frontEndTick()
 void
 McdProcessor::fetchTick()
 {
-    const Tick now = eq.now();
+    const Tick now = curTick;
     ClockDomain &fd = *domains[static_cast<std::size_t>(DomainId::Fetch)];
     unsigned fetched = 0;
 
@@ -587,7 +575,6 @@ McdProcessor::dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle)
 
         const DomainId exec_dom = domainFor(inst->in.cls);
         completion.beginInst(inst->seq, exec_dom);
-        inst->dispatchTime = now;
         const Tick write_time = now + domains[0]->period() / 2;
         inst->queueVisibleTime =
             (cfg.mcdEnabled && q.empty())
@@ -638,7 +625,7 @@ unsigned
 McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
                      TryIssue &&try_issue)
 {
-    const Tick now = eq.now();
+    const Tick now = curTick;
     const DomainId dom = controlledDomains[ctl];
     SelectMemo &memo = selectMemo[ctl];
 
@@ -665,7 +652,7 @@ McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
             found_ready = true; // stopped early: the scan proves nothing
             return false;
         }
-        const Tick ready = srcReadyTime(*inst, dom);
+        const Tick ready = operandsReady(*inst, dom);
         if (ready > now) {
             wake = std::min(wake, ready);
             return true; // operands pending: try younger entries
@@ -697,7 +684,7 @@ void
 McdProcessor::clusterTick(std::size_t ctl, IssueQueue &queue,
                           ClusterFus &fus, std::uint32_t width)
 {
-    const Tick now = eq.now();
+    const Tick now = curTick;
     const DomainId dom = controlledDomains[ctl];
     ClockDomain &d = *domains[static_cast<std::size_t>(dom)];
 
@@ -712,7 +699,6 @@ McdProcessor::clusterTick(std::size_t ctl, IssueQueue &queue,
                               ? complete
                               : now + d.period());
         inst->issued = true;
-        inst->issueTime = now;
         inst->completeTime = complete;
         completion.complete(inst->seq, complete);
 
@@ -737,7 +723,7 @@ McdProcessor::clusterTick(std::size_t ctl, IssueQueue &queue,
 void
 McdProcessor::loadStoreTick()
 {
-    const Tick now = eq.now();
+    const Tick now = curTick;
     ClockDomain &d = *domains[static_cast<std::size_t>(DomainId::LoadStore)];
 
     // Retire completed misses from the MSHRs.
@@ -775,7 +761,6 @@ McdProcessor::loadStoreTick()
         }
 
         inst->issued = true;
-        inst->issueTime = now;
         inst->completeTime = complete;
         completion.complete(inst->seq, complete);
         return true;
@@ -796,7 +781,7 @@ McdProcessor::loadStoreTick()
 void
 McdProcessor::samplerTick()
 {
-    const Tick now = eq.now();
+    const Tick now = curTick;
     const bool sample_trace = traceSink.wantsQueueSamples();
     const IssueQueue *queues[3] = {&intQ, &fpQ, &lsQ};
     for (std::size_t i = 0; i < 3; ++i) {
@@ -823,10 +808,35 @@ McdProcessor::samplerTick()
                      drivers[i]->currentHz() / 1e9);
     }
     ++sampleCount;
-    eq.schedule(&sampler, now + samplingPeriod);
+    slotTimes[samplerSlot] = now + samplingPeriod;
 }
 
 // ---------------------------------------------------------------- run
+
+void
+McdProcessor::dispatch(std::size_t slot)
+{
+    MCDSIM_TRACE(obs::DebugFlag::EventQueue, "t=%llu dispatch %s prio=%d",
+                 static_cast<unsigned long long>(curTick),
+                 slot == samplerSlot ? "dvfs-sampler" : "clock-edge",
+                 slot == samplerSlot ? 50 : static_cast<int>(slot));
+    // Each edge moves only its own domain's next edge (an operating-
+    // point change takes effect from the edge after the scheduled
+    // one), so the other slots stay exact.
+    const auto clock = [this, slot](auto work) {
+        ClockDomain &dom = *domains[slot];
+        dom.edge(work);
+        slotTimes[slot] = dom.nextEdgeTime();
+    };
+    switch (slot) {
+      case 0: clock([this] { frontEndTick(); }); break;
+      case 1: clock([this] { intTick(); }); break;
+      case 2: clock([this] { fpTick(); }); break;
+      case 3: clock([this] { loadStoreTick(); }); break;
+      case 4: clock([this] { fetchTick(); }); break;
+      default: samplerTick(); break;
+    }
+}
 
 SimResult
 McdProcessor::run(std::uint64_t max_instructions)
@@ -841,20 +851,27 @@ McdProcessor::run(std::uint64_t max_instructions)
     std::uint64_t sinceCancelPoll = 0;
 
     while (!done) {
-        if (!eq.step())
-            panic("event queue drained before the run completed");
-        if (budget != 0 && eq.processedCount() >= budget && !done) {
+        const std::size_t slot = earliestSlot(slotTimes);
+        MCDSIM_DCHECK_GE(slotTimes[slot], curTick, "time ran backwards");
+        curTick = slotTimes[slot];
+        ++eventsProcessed;
+        dispatch(slot);
+        // The fired slot moves strictly past now, which is what makes
+        // lowest-slot-first equal the old (when, priority, seq) order.
+        MCDSIM_DCHECK_GT(slotTimes[slot], curTick, "slot %zu refired at %llu",
+                         slot, static_cast<unsigned long long>(curTick));
+        if (budget != 0 && eventsProcessed >= budget && !done) {
             throw SimError("event-budget",
                            "run exceeded its event budget of " +
                                std::to_string(budget) + " events at tick " +
-                               std::to_string(eq.now()));
+                               std::to_string(curTick));
         }
         if (cancellable && (++sinceCancelPoll & 0x3ff) == 0 &&
             cfg.cancelCheck()) {
             throw SimError("deadline",
                            "run cancelled by deadline at tick " +
-                               std::to_string(eq.now()) + " after " +
-                               std::to_string(eq.processedCount()) +
+                               std::to_string(curTick) + " after " +
+                               std::to_string(eventsProcessed) +
                                " events");
         }
     }
@@ -875,7 +892,7 @@ McdProcessor::finalizeEnergy()
             energy.addRegulatorTransition(controlledDomains[i]);
     }
     MCDSIM_TRACE(obs::DebugFlag::Energy, "t=%llu total energy %.6g J",
-                 static_cast<unsigned long long>(eq.now()),
+                 static_cast<unsigned long long>(curTick),
                  energy.totalEnergy());
 }
 
@@ -886,8 +903,8 @@ McdProcessor::collectResult()
     r.benchmark = src.name();
     r.controller = controllers[0]->name();
     r.instructions = reorderBuffer.retiredCount();
-    r.wallTicks = eq.now();
-    r.eventsProcessed = eq.processedCount();
+    r.wallTicks = curTick;
+    r.eventsProcessed = eventsProcessed;
     r.energy = energy.totalEnergy();
 
     for (std::size_t i = 0; i < 3; ++i) {

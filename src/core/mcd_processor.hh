@@ -22,8 +22,12 @@
  * the consumer observes at its next clock edge — the Sjogren-Myers
  * interface behaviour of Section 2.
  *
- * A sampler event fires at the 250 MHz sampling rate and feeds each
+ * A sampler fires at the 250 MHz sampling rate and feeds each
  * controlled domain's queue occupancy to its DVFS driver.
+ *
+ * The processor is its own scheduler: a fixed next-event table holds
+ * each domain's next edge and the sampler's next tick, and run()
+ * dispatches the earliest (earliestSlot(), mcd/clock_domain.hh).
  *
  * Documented simplifications versus the Rochester simulator: the
  * 72+72 physical register file and the 64-entry LS retire buffer are
@@ -53,7 +57,6 @@
 #include "obs/stats_registry.hh"
 #include "obs/trace_sink.hh"
 #include "power/energy_model.hh"
-#include "sim/event_queue.hh"
 #include "workload/source.hh"
 
 namespace mcd
@@ -77,38 +80,7 @@ class McdProcessor
      */
     SimResult run(std::uint64_t max_instructions = 0);
 
-    /** @{ Introspection for tests. */
-    EventQueue &eventQueue() { return eq; }
-    const Rob &rob() const { return reorderBuffer; }
-    const IssueQueue &intQueue() const { return intQ; }
-    const IssueQueue &fpQueue() const { return fpQ; }
-    const IssueQueue &lsQueue() const { return lsQ; }
-    const ClockDomain &domain(DomainId id) const;
-    const DvfsDriver &driver(std::size_t idx) const { return *drivers[idx]; }
-    const EnergyModel &energyModel() const { return energy; }
-    const BranchPredictor &predictor() const { return bpred; }
-    const MemorySystem &memory() const { return mem; }
-    std::uint64_t retiredInstructions() const;
-    const obs::StatsRegistry &stats() const { return statsReg; }
-    const obs::TraceSink &trace() const { return traceSink; }
-    const FaultInjector *faultInjector() const { return faultInj.get(); }
-    /** @} */
-
   private:
-    class SamplerEvent : public Event
-    {
-      public:
-        explicit SamplerEvent(McdProcessor &processor)
-            : Event(50), proc(processor)
-        {}
-
-        void process() override { proc.samplerTick(); }
-        const char *name() const override { return "dvfs-sampler"; }
-
-      private:
-        McdProcessor &proc;
-    };
-
     /**
      * Issue-select memo of one cluster queue. A full scan that found
      * no entry both visible and operand-ready records the earliest
@@ -131,13 +103,8 @@ class McdProcessor
         }
     };
 
-    /** Per-edge work as a plain function for ClockDomain::start(). */
-    template <void (McdProcessor::*Work)()>
-    static void
-    edgeThunk(void *self)
-    {
-        (static_cast<McdProcessor *>(self)->*Work)();
-    }
+    /** Dispatch the event in @p slot, at curTick. */
+    void dispatch(std::size_t slot);
 
     /** @{ Per-domain edge work. */
     void frontEndTick();
@@ -201,6 +168,32 @@ class McdProcessor
         return ready;
     }
 
+    /**
+     * srcReadyTime() cached on the entry. A finite answer is final
+     * while each producer keeps its completion-table slot. The newest
+     * in-flight instruction is below consumer + robSize, so a producer
+     * under capacity - robSize away keeps it while the consumer waits;
+     * one at capacity or more away reads "long retired" for good.
+     */
+    Tick
+    operandsReady(DynInst &inst, DomainId consumer) const
+    {
+        if (inst.srcReady != maxTick) {
+            MCDSIM_DCHECK_EQ(inst.srcReady, srcReadyTime(inst, consumer),
+                             "stale cached ready tick");
+            return inst.srcReady;
+        }
+        const Tick ready = srcReadyTime(inst, consumer);
+        const std::size_t cap = completion.capacity();
+        const auto final_dist = [&](std::size_t d) {
+            return d >= cap || d + cfg.robSize < cap;
+        };
+        if (ready != maxTick && final_dist(inst.in.srcDist[0]) &&
+            final_dist(inst.in.srcDist[1]))
+            inst.srcReady = ready;
+        return ready;
+    }
+
     IssueQueue &queueFor(InstClass cls);
     DomainId domainFor(InstClass cls) const;
     Tick crossPenalty() const { return cfg.mcdEnabled ? cfg.syncWindow : 0; }
@@ -213,7 +206,14 @@ class McdProcessor
     SimConfig cfg;
     WorkloadSource &src;
 
-    EventQueue eq;
+    /** Current simulated time: the time base of every domain. */
+    Tick curTick = 0;
+
+    /** Next edge per domain, then the sampler's next tick. */
+    SlotTimes slotTimes{};
+
+    /** Events dispatched so far (edges plus sampler ticks). */
+    std::uint64_t eventsProcessed = 0;
 
     // Clock domains (order matches DomainId).
     std::vector<std::unique_ptr<ClockDomain>> domains;
@@ -236,7 +236,6 @@ class McdProcessor
     CompletionTable completion;
     std::array<SelectMemo, 3> selectMemo{}; // INT, FP, LS
 
-    SamplerEvent sampler;
     Tick samplingPeriod;
 
     // Front-end state.

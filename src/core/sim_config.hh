@@ -181,9 +181,10 @@ struct SimConfig
 
     /**
      * Deterministic watchdog: abort the run with SimError at site
-     * "event-budget" once the event queue has processed this many
-     * events. 0 disables. Purely a function of the simulation, so it
-     * trips identically on every host and --jobs setting.
+     * "event-budget" once the processor has dispatched this many
+     * clock edges and sampler ticks. 0 disables. Purely a function of
+     * the simulation, so it trips identically on every host and --jobs
+     * setting.
      */
     std::uint64_t eventBudget = 0;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hh"
-#include "common/logging.hh"
+#include "common/error.hh"
 #include "obs/debug_flags.hh"
 
 namespace mcd
@@ -42,9 +42,9 @@ AdaptiveController::AdaptiveController(const VfCurve &curve,
       delta(deltaFsmConfig(config))
 {
     if (cfg.levelDelay <= 0.0 || cfg.deltaDelay <= 0.0)
-        fatal("AdaptiveController: basic delays must be positive");
+        configError("adaptive", "basic delays must be positive");
     if (cfg.stepsPerAction == 0)
-        fatal("AdaptiveController: stepsPerAction must be nonzero");
+        configError("adaptive", "stepsPerAction must be nonzero");
 }
 
 DvfsDecision

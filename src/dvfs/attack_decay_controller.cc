@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/logging.hh"
+#include "common/error.hh"
 
 namespace mcd
 {
@@ -12,7 +12,7 @@ AttackDecayController::AttackDecayController(const VfCurve &curve,
     : vf(curve), cfg(config)
 {
     if (cfg.intervalSamples == 0)
-        fatal("AttackDecayController: interval must be nonzero");
+        configError("attack-decay", "interval must be nonzero");
 }
 
 DvfsDecision

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/check.hh"
-#include "common/logging.hh"
+#include "common/error.hh"
 
 namespace mcd
 {
@@ -12,7 +12,7 @@ PidController::PidController(const VfCurve &curve, const Config &config)
     : vf(curve), cfg(config)
 {
     if (cfg.intervalSamples == 0)
-        fatal("PidController: interval must be nonzero");
+        configError("pid", "interval must be nonzero");
 }
 
 DvfsDecision

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/check.hh"
-#include "common/logging.hh"
+#include "common/error.hh"
 
 namespace mcd
 {
@@ -13,13 +13,13 @@ VfCurve::VfCurve(const Config &config)
     : cfg(config)
 {
     if (cfg.fMax <= cfg.fMin)
-        fatal("VfCurve: fMax (%g) must exceed fMin (%g)", cfg.fMax,
-              cfg.fMin);
+        configError("vf-curve", "fMax (%g) must exceed fMin (%g)", cfg.fMax,
+                    cfg.fMin);
     if (cfg.vMax < cfg.vMin)
-        fatal("VfCurve: vMax (%g) must be >= vMin (%g)", cfg.vMax,
-              cfg.vMin);
+        configError("vf-curve", "vMax (%g) must be >= vMin (%g)", cfg.vMax,
+                    cfg.vMin);
     if (cfg.steps == 0)
-        fatal("VfCurve: step count must be nonzero");
+        configError("vf-curve", "step count must be nonzero");
     stepHz = (cfg.fMax - cfg.fMin) / static_cast<double>(cfg.steps);
     MCDSIM_INVARIANT(stepHz > 0.0, "non-positive frequency step %g", stepHz);
     // The controllers assume the discrete V/F table is monotone: a

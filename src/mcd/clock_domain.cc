@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "obs/debug_flags.hh"
 #include "obs/stats_registry.hh"
@@ -25,84 +26,86 @@ domainName(DomainId id)
     panic("unknown domain id %d", static_cast<int>(id));
 }
 
-ClockDomain::ClockDomain(EventQueue &queue, const Config &config)
-    : eq(queue), cfg(config), hz(config.initialHz),
-      volts(config.initialVolt),
-      periodTicks(periodFromFrequency(config.initialHz)),
-      jitter(config.jitterSeed ^
-             (static_cast<std::uint64_t>(config.id) << 32)),
-      edgeEvent(*this)
+/** Queue-bound adapter: one edge, then the next edge's event. */
+class ClockDomain::EdgeEvent : public Event
 {
-    if (hz <= 0.0)
-        fatal("domain %s: non-positive initial frequency", name());
+  public:
+    EdgeEvent(ClockDomain &domain, EventQueue &queue)
+        : Event(static_cast<int>(domain.id())), dom(domain), eq(queue)
+    {}
+
+    void
+    process() override
+    {
+        dom.edge(work);
+        eq.schedule(this, dom.nextEdgeTime());
+    }
+
+    const char *name() const override { return "clock-edge"; }
+
+    ClockDomain &dom;
+    EventQueue &eq;
+    std::function<void()> work = [] {};
+};
+
+ClockDomain::ClockDomain(const Tick &now, const Config &config)
+    : curTick(now), cfg(config), hz(config.initialHz),
+      volts(config.initialVolt),
+      jitter(config.jitterSeed ^
+             (static_cast<std::uint64_t>(config.id) << 32))
+{
+    if (!(hz > 0.0))
+        configError("clock-domain", "domain %s: non-positive initial frequency",
+                    name());
+    periodTicks = periodFromFrequency(hz);
     MCDSIM_INVARIANT(periodTicks > 0,
                      "domain %s: initial frequency %g Hz yields a zero-tick "
                      "period", name(), hz);
 }
 
+ClockDomain::ClockDomain(EventQueue &queue, const Config &config)
+    : ClockDomain(queue.now(), config)
+{
+    edgeEvent = std::make_unique<EdgeEvent>(*this, queue);
+}
+
+ClockDomain::~ClockDomain() = default;
+
 void
-ClockDomain::start(EdgeFn fn, void *ctx)
+ClockDomain::start()
 {
     MCDSIM_CHECK(!started, "domain %s started twice", name());
     started = true;
-    onEdge = fn;
-    onEdgeCtx = ctx;
-    lastIdealEdge = eq.now();
-    lastVoltAccrual = eq.now();
-    scheduleNextEdge();
+    lastIdealEdge = curTick;
+    lastVoltAccrual = curTick;
+    // One draw straight from the stream: the first block refill
+    // happens on the first edge, inside the run.
+    placeNextEdge(cfg.jitterEnabled ? jitter.gaussian(0.0, cfg.jitterSigmaFs)
+                                    : 0.0);
 }
 
 void
 ClockDomain::start(std::function<void()> on_edge)
 {
-    MCDSIM_CHECK(!started, "domain %s started twice", name());
-    onEdgeCallable = std::move(on_edge);
-    if (!onEdgeCallable) {
-        start(nullptr, nullptr);
-        return;
-    }
-    start([](void *self) {
-        static_cast<ClockDomain *>(self)->onEdgeCallable();
-    }, this);
+    MCDSIM_CHECK(edgeEvent, "domain %s is not queue-bound", name());
+    start();
+    if (on_edge)
+        edgeEvent->work = std::move(on_edge);
+    edgeEvent->eq.schedule(edgeEvent.get(), nextActualEdge);
 }
 
 void
-ClockDomain::scheduleNextEdge()
+ClockDomain::refillJitter()
 {
-    nextIdealEdge = lastIdealEdge + periodTicks;
-
-    Tick actual = nextIdealEdge;
-    if (cfg.jitterEnabled) {
-        double j = jitter.gaussian(0.0, cfg.jitterSigmaFs);
-        const double clamp = static_cast<double>(cfg.jitterClampFs);
-        j = std::clamp(j, -clamp, clamp);
-        // Never jitter an edge before "now" or before the previous
-        // edge: offset from the ideal grid only.
-        const auto floor_t = std::max(eq.now(), lastIdealEdge) + 1;
-        const double shifted = static_cast<double>(nextIdealEdge) + j;
-        actual = shifted < static_cast<double>(floor_t)
-                     ? floor_t
-                     : static_cast<Tick>(shifted);
-    }
-    nextActualEdge = actual;
-    // From edge() this is a self-reschedule of the event currently
-    // being dispatched, so EventQueue::schedule() takes its fused
-    // pop+insert path: the edge entry is overwritten at the heap root
-    // and settles with a single sift-down.
-    eq.schedule(&edgeEvent, actual);
+    for (double &j : jitterBlock)
+        j = jitter.gaussian(0.0, cfg.jitterSigmaFs);
+    jitterNext = 0;
 }
 
 void
-ClockDomain::edge()
+ClockDomain::traceEdge()
 {
-    ++cycles;
-    lastIdealEdge = nextIdealEdge;
-    if (edgeTrace) [[unlikely]]
-        edgeTrace->clockEdge(eq.now(), cfg.id, cycles);
-    accrueVoltageTime();
-    if (onEdge)
-        onEdge(onEdgeCtx);
-    scheduleNextEdge();
+    edgeTrace->clockEdge(curTick, cfg.id, cycles);
 }
 
 void
@@ -111,14 +114,14 @@ ClockDomain::applyOperatingPoint(Hertz f, Volt v)
     MCDSIM_CHECK(f > 0.0, "domain %s: non-positive frequency", name());
     MCDSIM_TRACE(obs::DebugFlag::ClockDomain,
                  "t=%llu %s operating point %.4f GHz %.3f V",
-                 static_cast<unsigned long long>(eq.now()), name(), f / 1e9,
+                 static_cast<unsigned long long>(curTick), name(), f / 1e9,
                  v);
     accrueVoltageTime();
     hz = f;
     volts = v;
     ++opChanges;
     if (trace) [[unlikely]]
-        trace->operatingPoint(eq.now(), cfg.id, hz, volts);
+        trace->operatingPoint(curTick, cfg.id, hz, volts);
     periodTicks = periodFromFrequency(f);
     // A zero-tick period would wedge the event loop at a single
     // instant, re-scheduling edges forever without advancing time.
@@ -151,16 +154,6 @@ ClockDomain::attachTrace(obs::TraceSink *sink)
 {
     trace = sink && sink->enabled() ? sink : nullptr;
     edgeTrace = trace && trace->wantsClockEdges() ? trace : nullptr;
-}
-
-void
-ClockDomain::accrueVoltageTime()
-{
-    const Tick now = eq.now();
-    if (now > lastVoltAccrual) {
-        v2Seconds += volts * volts * ticksToSeconds(now - lastVoltAccrual);
-        lastVoltAccrual = now;
-    }
 }
 
 } // namespace mcd

@@ -8,18 +8,25 @@
  * machinery can change at run time. Main memory is an external
  * asynchronous agent and has no domain object.
  *
- * A domain schedules its own clock edges on the global event queue;
- * the next edge is always computed from the *current* period, so an
- * operating-point change simply stretches or shrinks subsequent
- * cycles. Optional per-edge clock jitter (Table 1: +-10 ps, normally
- * distributed) perturbs edge times without accumulating drift.
+ * A domain computes its own next edge, always from the *current*
+ * period, so an operating-point change simply stretches or shrinks
+ * subsequent cycles. Optional per-edge clock jitter (Table 1: +-10 ps,
+ * normally distributed) perturbs edge times without accumulating
+ * drift. Its owner decides when the edge fires: McdProcessor picks the
+ * earliest of its domains' next edges and its sampler's next tick
+ * (earliestSlot() below); a stand-alone domain can instead put its
+ * edges on an EventQueue.
  */
 
 #ifndef MCDSIM_MCD_CLOCK_DOMAIN_HH
 #define MCDSIM_MCD_CLOCK_DOMAIN_HH
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "common/random.hh"
@@ -58,6 +65,35 @@ constexpr std::size_t numDomains = 5;
 /** Short domain name for reports. */
 const char *domainName(DomainId id);
 
+/**
+ * Next-event table of an MCD processor: slot d holds the next edge of
+ * domain d (maxTick for a domain the partition lacks) and the last
+ * slot, samplerSlot, the DVFS sampler's next tick.
+ */
+using SlotTimes = std::array<Tick, numDomains + 1>;
+constexpr std::size_t samplerSlot = numDomains;
+
+/**
+ * The slot that fires next: the earliest time, ties going to the
+ * lower slot. This is the (when, priority) order an EventQueue gives
+ * edges queued at priority = domain id and a sampler queued after
+ * every edge. A fired slot always moves past the current tick, so the
+ * table never needs the queue's insertion-order tie-break.
+ */
+inline std::size_t
+earliestSlot(const SlotTimes &times)
+{
+    // Branch-free: which slot wins changes from event to event, so a
+    // compare-and-branch scan would mispredict about once per event.
+    Tick first = times[0];
+    for (std::size_t s = 1; s < times.size(); ++s)
+        first = std::min(first, times[s]);
+    unsigned at_first = 0;
+    for (std::size_t s = 0; s < times.size(); ++s)
+        at_first |= static_cast<unsigned>(times[s] == first) << s;
+    return static_cast<std::size_t>(std::countr_zero(at_first));
+}
+
 /** One independently clocked domain. */
 class ClockDomain : public FrequencyActuator
 {
@@ -80,20 +116,43 @@ class ClockDomain : public FrequencyActuator
         std::uint64_t jitterSeed = 0xC10Cull;
     };
 
-    ClockDomain(EventQueue &queue, const Config &config);
-
-    /** Per-edge work as a plain function of an opaque context. */
-    using EdgeFn = void (*)(void *);
+    /**
+     * A domain clocked by its owner, which keeps @p now (the current
+     * simulated time) alive and calls start() and then edge().
+     */
+    ClockDomain(const Tick &now, const Config &config);
 
     /**
-     * Register the per-edge work, fn(ctx) (fn may be null), and
-     * schedule the first edge. This is the edge hot path: one
-     * indirect call per edge.
+     * A domain whose edges are events on @p queue: start(on_edge)
+     * schedules them, and each runs edge(on_edge) and reschedules.
      */
-    void start(EdgeFn fn, void *ctx);
+    ClockDomain(EventQueue &queue, const Config &config);
 
-    /** As above, for any callable (held here, called through a thunk). */
+    ~ClockDomain() override;
+
+    /** Compute the first edge from the current time. */
+    void start();
+
+    /** Queue-bound domains: start() and schedule the first edge. */
     void start(std::function<void()> on_edge);
+
+    /**
+     * One clock edge; the owner has advanced the time base to
+     * nextEdgeTime(). Cycle bookkeeping, then @p work, then the next
+     * edge's time.
+     */
+    template <typename Work>
+    void
+    edge(Work &&work)
+    {
+        ++cycles;
+        lastIdealEdge = nextIdealEdge;
+        if (edgeTrace) [[unlikely]]
+            traceEdge();
+        accrueVoltageTime();
+        work();
+        placeNextEdge(cfg.jitterEnabled ? nextJitter() : 0.0);
+    }
 
     /** @{ Current operating point. */
     Hertz frequency() const { return hz; }
@@ -106,9 +165,6 @@ class ClockDomain : public FrequencyActuator
 
     /** Edges elapsed since start(). */
     std::uint64_t cycleCount() const { return cycles; }
-
-    /** Time of the most recent edge (ideal grid, jitter excluded). */
-    Tick lastEdgeTime() const { return lastIdealEdge; }
 
     /** Scheduled time of the next edge (with jitter applied). */
     Tick nextEdgeTime() const { return nextActualEdge; }
@@ -134,7 +190,15 @@ class ClockDomain : public FrequencyActuator
     double voltSquaredSeconds() const { return v2Seconds; }
 
     /** Bring the V^2-seconds integral up to the current time. */
-    void accrueVoltageTime();
+    void
+    accrueVoltageTime()
+    {
+        if (curTick > lastVoltAccrual) {
+            v2Seconds +=
+                volts * volts * ticksToSeconds(curTick - lastVoltAccrual);
+            lastVoltAccrual = curTick;
+        }
+    }
 
     /**
      * Register clock stats under @p prefix: "<prefix>.cycles",
@@ -153,34 +217,59 @@ class ClockDomain : public FrequencyActuator
     void attachTrace(obs::TraceSink *sink);
 
   private:
-    class EdgeEvent : public Event
+    class EdgeEvent;
+
+    /**
+     * Jitter draws per refill. The jitter stream is read only here,
+     * one gaussian(0, sigma) per edge, so drawing it in blocks keeps
+     * every value and takes the log/sqrt/sincos chain off the
+     * per-edge path.
+     */
+    static constexpr std::size_t jitterBlockSize = 64;
+
+    double
+    nextJitter()
     {
-      public:
-        explicit EdgeEvent(ClockDomain &domain)
-            : Event(static_cast<int>(domain.cfg.id)), dom(domain)
-        {}
+        if (jitterNext == jitterBlockSize) [[unlikely]]
+            refillJitter();
+        return jitterBlock[jitterNext++];
+    }
 
-        void process() override { dom.edge(); }
-        const char *name() const override { return "clock-edge"; }
+    void refillJitter();
 
-      private:
-        ClockDomain &dom;
-    };
+    /** Set the next edge: the ideal grid plus clamped jitter @p j. */
+    void
+    placeNextEdge(double j)
+    {
+        nextIdealEdge = lastIdealEdge + periodTicks;
+        Tick actual = nextIdealEdge;
+        if (cfg.jitterEnabled) {
+            const double clamp = static_cast<double>(cfg.jitterClampFs);
+            j = std::clamp(j, -clamp, clamp);
+            // Never jitter an edge before "now" or before the previous
+            // edge: offset from the ideal grid only.
+            const Tick floor_t = std::max(curTick, lastIdealEdge) + 1;
+            const double shifted = static_cast<double>(nextIdealEdge) + j;
+            actual = shifted < static_cast<double>(floor_t)
+                         ? floor_t
+                         : static_cast<Tick>(shifted);
+        }
+        nextActualEdge = actual;
+    }
 
-    void edge();
-    void scheduleNextEdge();
+    void traceEdge();
 
-    EventQueue &eq;
+    const Tick &curTick;
     Config cfg;
     Hertz hz;
     Volt volts;
-    Tick periodTicks;
+    Tick periodTicks = 0;
     Rng jitter;
+    std::size_t jitterNext = jitterBlockSize;
 
-    EdgeEvent edgeEvent;
-    EdgeFn onEdge = nullptr;
-    void *onEdgeCtx = nullptr;
-    std::function<void()> onEdgeCallable; ///< for start(std::function)
+    /** The edge event of a queue-bound domain, else null. */
+    std::unique_ptr<EdgeEvent> edgeEvent;
+
     std::uint64_t cycles = 0;
     Tick lastIdealEdge = 0;
     Tick nextIdealEdge = 0;
@@ -195,6 +284,9 @@ class ClockDomain : public FrequencyActuator
 
     /** Cached: non-null only when the sink wants per-edge events. */
     obs::TraceSink *edgeTrace = nullptr;
+
+    /** Pre-drawn jitter; entries from jitterNext on are unread. */
+    std::array<double, jitterBlockSize> jitterBlock;
 };
 
 } // namespace mcd

@@ -1,6 +1,6 @@
 #include "mem/cache.hh"
 
-#include "common/logging.hh"
+#include "common/error.hh"
 
 namespace mcd
 {
@@ -20,15 +20,17 @@ Cache::Cache(const Config &config)
     : cfg(config)
 {
     if (cfg.sizeKb == 0 || cfg.assoc == 0 || cfg.lineBytes == 0)
-        fatal("cache '%s': zero-sized parameter", cfg.name.c_str());
+        configError("cache", "cache '%s': zero-sized parameter",
+                    cfg.name.c_str());
     const std::uint64_t size = std::uint64_t(cfg.sizeKb) * 1024;
     const std::uint64_t line_count = size / cfg.lineBytes;
     if (line_count % cfg.assoc != 0)
-        fatal("cache '%s': size/assoc mismatch", cfg.name.c_str());
+        configError("cache", "cache '%s': size/assoc mismatch",
+                    cfg.name.c_str());
     numSets = static_cast<std::uint32_t>(line_count / cfg.assoc);
     if (!isPow2(numSets) || !isPow2(cfg.lineBytes))
-        fatal("cache '%s': sets and line size must be powers of two",
-              cfg.name.c_str());
+        configError("cache", "cache '%s': sets and line size must be powers "
+                    "of two", cfg.name.c_str());
     lines.resize(std::size_t(numSets) * cfg.assoc);
 }
 

@@ -1,28 +1,12 @@
 #include "sim/event_queue.hh"
 
-#include <utility>
-
 #include "common/check.hh"
-#include "common/logging.hh"
 #include "obs/debug_flags.hh"
-#include "obs/stats_registry.hh"
 
 namespace mcd
 {
 
 Event::~Event() = default;
-
-void
-EventQueue::push(const Entry &entry)
-{
-    // Some other event is being scheduled first: the stale root must
-    // leave the heap before a sift-up may trust ancestor comparisons
-    // (a same-tick, lower-priority insertion would otherwise stop
-    // above the wrong entry).
-    finishPendingRemoval();
-    heap.push_back(entry);
-    siftUp(heap.size() - 1);
-}
 
 void
 EventQueue::removeTop()
@@ -36,8 +20,6 @@ EventQueue::removeTop()
 bool
 EventQueue::step()
 {
-    MCDSIM_CHECK(dispatching == nullptr,
-                 "EventQueue::step() reentered from process()");
     if (heap.empty())
         return false;
 
@@ -56,34 +38,17 @@ EventQueue::step()
     Event *ev = top.ev;
     _now = top.when;
     ev->_scheduled = false;
+    removeTop();
     if (ev->_squashed) {
         // Consume the squashed entry without processing; the caller's
         // time-limit check is re-evaluated before the next entry.
         ev->_squashed = false;
-        removeTop();
         return true;
     }
     ++processed;
     MCDSIM_TRACE(obs::DebugFlag::EventQueue, "t=%llu dispatch %s prio=%d",
                  static_cast<unsigned long long>(_now), ev->name(),
                  top.priority);
-
-    // Defer the root removal: if process() reschedules this event
-    // (the dominant clock-edge pattern), schedule() fuses the removal
-    // and insertion into one sift-down. The guard also restores
-    // queue consistency if process() throws (test-mode CheckFailure).
-    dispatching = ev;
-    topPending = true;
-    struct DispatchGuard
-    {
-        EventQueue &q;
-        ~DispatchGuard()
-        {
-            q.dispatching = nullptr;
-            q.finishPendingRemoval();
-        }
-    } guard{*this};
-
     ev->process();
     return true;
 }
@@ -103,19 +68,6 @@ Tick
 EventQueue::nextEventTick() const
 {
     return heap.empty() ? maxTick : heap.front().when;
-}
-
-void
-EventQueue::registerStats(obs::StatsRegistry &reg,
-                          const std::string &prefix) const
-{
-    reg.addIntCallback(prefix + ".processed",
-                       "events dispatched since construction",
-                       [this] { return processed; });
-    reg.addIntCallback(prefix + ".pending",
-                       "events scheduled at dump time", [this] {
-                           return static_cast<std::uint64_t>(heap.size());
-                       });
 }
 
 #if MCDSIM_DCHECK_IS_ON

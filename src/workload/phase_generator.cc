@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/check.hh"
-#include "common/logging.hh"
+#include "common/error.hh"
 
 namespace mcd
 {
@@ -18,10 +18,10 @@ PhaseTraceGenerator::PhaseTraceGenerator(std::string trace_name,
       totalInsts(total), seed(generator_seed), rng(generator_seed)
 {
     if (specs.empty())
-        fatal("PhaseTraceGenerator '%s': no phases", traceName.c_str());
+        configError("phase-generator", "'%s': no phases", traceName.c_str());
     if (total == 0)
-        fatal("PhaseTraceGenerator '%s': zero instructions",
-              traceName.c_str());
+        configError("phase-generator", "'%s': zero instructions",
+                    traceName.c_str());
 
     originalPhaseCount = specs.size();
     if (cycle) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/branch_predictor.hh"
+#include "common/error.hh"
 #include "common/random.hh"
 
 namespace mcd
@@ -143,8 +144,7 @@ TEST(BranchPredictorDeath, NonPow2TablesRejected)
 {
     BranchPredictor::Config cfg;
     cfg.bimodalEntries = 1000;
-    EXPECT_EXIT(BranchPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "powers of two");
+    EXPECT_THROW(BranchPredictor{cfg}, ConfigError);
 }
 
 } // namespace

@@ -155,6 +155,28 @@ TEST_F(CampaignTest, ExplicitSpecListRunsEachSpecUnderItsOwnOptions)
               resultCsvRow(cold.runs[0].outcome.result));
 }
 
+TEST(CampaignErrors, BadSchemeConfigFailsOnlyItsOwnRun)
+{
+    // A controller that rejects its parameters throws ConfigError in
+    // the worker instead of exiting the process: the campaign still
+    // returns every run, and the other scheme's run is unaffected.
+    RunOptions opts;
+    opts.instructions = 5000;
+    opts.config.pid.intervalSamples = 0;
+    const std::vector<RunSpec> specs = {
+        schemeSpec("mcf", ControllerKind::Adaptive, opts),
+        schemeSpec("mcf", ControllerKind::Pid, opts),
+    };
+    const CampaignResult result = Campaign(specs, nullptr).run();
+    ASSERT_EQ(result.runs.size(), 2u);
+    EXPECT_EQ(result.failed, 1u);
+    EXPECT_EQ(result.runs[0].outcome.status, RunStatus::Ok);
+    EXPECT_EQ(result.runs[0].outcome.result.instructions, 5000u);
+    EXPECT_EQ(result.runs[1].outcome.status, RunStatus::Failed);
+    EXPECT_NE(result.runs[1].outcome.error.find("interval"),
+              std::string::npos);
+}
+
 TEST(CampaignExpand, SpecConstructorMatchesExpansion)
 {
     const CampaignSpec spec = quickCampaign();

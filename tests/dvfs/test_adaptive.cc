@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/error.hh"
 #include "control/abstract_plant.hh"
 #include "dvfs/adaptive_controller.hh"
 
@@ -257,8 +258,7 @@ TEST(AdaptiveDeath, RejectsNonPositiveDelays)
     VfCurve vf;
     auto cfg = testConfig();
     cfg.levelDelay = 0.0;
-    EXPECT_EXIT(AdaptiveController(vf, cfg),
-                ::testing::ExitedWithCode(1), "delays");
+    EXPECT_THROW(AdaptiveController(vf, cfg), ConfigError);
 }
 
 // ---------------------------------------------------------------------

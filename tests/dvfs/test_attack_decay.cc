@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "dvfs/attack_decay_controller.hh"
 
 namespace mcd
@@ -128,8 +129,7 @@ TEST(AttackDecayDeath, ZeroIntervalRejected)
     VfCurve vf;
     auto cfg = testConfig();
     cfg.intervalSamples = 0;
-    EXPECT_EXIT(AttackDecayController(vf, cfg),
-                ::testing::ExitedWithCode(1), "interval");
+    EXPECT_THROW(AttackDecayController(vf, cfg), ConfigError);
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "control/abstract_plant.hh"
 #include "dvfs/pid_controller.hh"
 
@@ -141,8 +142,7 @@ TEST(PidDeath, ZeroIntervalRejected)
     VfCurve vf;
     PidController::Config cfg = testConfig();
     cfg.intervalSamples = 0;
-    EXPECT_EXIT(PidController(vf, cfg), ::testing::ExitedWithCode(1),
-                "interval");
+    EXPECT_THROW(PidController(vf, cfg), ConfigError);
 }
 
 } // namespace

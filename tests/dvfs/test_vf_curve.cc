@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "dvfs/vf_curve.hh"
 
 namespace mcd
@@ -81,14 +82,14 @@ TEST(VfCurveDeath, BadRange)
     VfCurve::Config bad;
     bad.fMin = 1e9;
     bad.fMax = 250e6;
-    EXPECT_EXIT(VfCurve{bad}, ::testing::ExitedWithCode(1), "fMax");
+    EXPECT_THROW(VfCurve{bad}, ConfigError);
 }
 
 TEST(VfCurveDeath, ZeroSteps)
 {
     VfCurve::Config bad;
     bad.steps = 0;
-    EXPECT_EXIT(VfCurve{bad}, ::testing::ExitedWithCode(1), "step count");
+    EXPECT_THROW(VfCurve{bad}, ConfigError);
 }
 
 } // namespace

@@ -163,5 +163,65 @@ INSTANTIATE_TEST_SUITE_P(
         return goldenCases().at(info.param).name;
     });
 
+// Kernel dispatch pins: the event count of a finished run, and the
+// exact text (tick included) of an event-budget trip, fix the order
+// and number of clock edges and sampler ticks independently of the
+// result bytes above.
+
+RunSpec
+mcfAdaptive()
+{
+    RunOptions opts;
+    opts.instructions = 20000;
+    opts.seed = 1;
+    return schemeSpec("mcf", ControllerKind::Adaptive, opts);
+}
+
+RunSpec
+fiveDomainAdaptive()
+{
+    RunOptions opts;
+    opts.instructions = 20000;
+    opts.seed = 1;
+    opts.config.fiveDomainPartition = true;
+    return schemeSpec("mpeg2_dec", ControllerKind::Adaptive, opts);
+}
+
+std::string
+budgetTripText(RunSpec spec, std::uint64_t budget)
+{
+    spec.options.config.eventBudget = budget;
+    try {
+        run(spec);
+    } catch (const SimError &e) {
+        return e.what();
+    }
+    return "no trip";
+}
+
+TEST(KernelPins, EventsProcessedMcfAdaptive)
+{
+    EXPECT_EQ(run(mcfAdaptive()).eventsProcessed, 646103u);
+}
+
+TEST(KernelPins, EventsProcessedFiveDomain)
+{
+    EXPECT_EQ(run(fiveDomainAdaptive()).eventsProcessed, 174813u);
+}
+
+TEST(KernelPins, EventBudgetTripMcfAdaptive)
+{
+    EXPECT_EQ(budgetTripText(mcfAdaptive(), 123457),
+              "sim error at event-budget: run exceeded its event budget "
+              "of 123457 events at tick 30883593428");
+}
+
+TEST(KernelPins, EventBudgetTripFiveDomain)
+{
+    EXPECT_EQ(budgetTripText(fiveDomainAdaptive(), 54321),
+              "sim error at event-budget: run exceeded its event budget "
+              "of 54321 events at tick 10616999554");
+}
+
 } // namespace
 } // namespace mcd

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/error.hh"
+#include "common/random.hh"
 #include "mcd/clock_domain.hh"
 
 namespace mcd
@@ -149,6 +153,140 @@ TEST(ClockDomain, NextEdgeAtOrAfter)
     EXPECT_EQ(dom.nextEdgeAtOrAfter(ticksFromNs(1)), ticksFromNs(1));
     // Extrapolates on the grid.
     EXPECT_EQ(dom.nextEdgeAtOrAfter(ticksFromNs(5) + 1), ticksFromNs(6));
+}
+
+TEST(ClockDomain, OwnerClockedMatchesQueueBound)
+{
+    // The owner-clocked step (the processor's path) and the queue-bound
+    // adapter run the same edge code: same edge times, jitter included,
+    // across several jitter-block refills.
+    ClockDomain::Config cfg = jitterFree(DomainId::Fp, gigaHertz(0.8));
+    cfg.jitterEnabled = true;
+    cfg.jitterSeed = 99;
+
+    EventQueue eq;
+    ClockDomain queued(eq, cfg);
+    std::vector<Tick> viaQueue;
+    queued.start([&] { viaQueue.push_back(eq.now()); });
+    eq.runUntil(ticksFromNs(400));
+
+    Tick now = 0;
+    ClockDomain owned(now, cfg);
+    owned.start();
+    std::vector<Tick> viaOwner;
+    while (owned.nextEdgeTime() <= ticksFromNs(400)) {
+        now = owned.nextEdgeTime();
+        owned.edge([&] { viaOwner.push_back(now); });
+    }
+    ASSERT_GT(viaOwner.size(), 300u);
+    EXPECT_EQ(viaOwner, viaQueue);
+    EXPECT_EQ(owned.cycleCount(), queued.cycleCount());
+}
+
+TEST(ClockDomain, NonPositiveFrequencyIsAConfigError)
+{
+    Tick now = 0;
+    ClockDomain::Config cfg = jitterFree();
+    cfg.initialHz = 0.0;
+    EXPECT_THROW((ClockDomain{now, cfg}), ConfigError);
+}
+
+TEST(EarliestSlot, LowestSlotWinsTies)
+{
+    SlotTimes t;
+    t.fill(maxTick);
+    t[samplerSlot] = 40;
+    EXPECT_EQ(earliestSlot(t), samplerSlot);
+    t[3] = 40;
+    EXPECT_EQ(earliestSlot(t), 3u); // an edge runs before the sampler
+    t[1] = 40;
+    EXPECT_EQ(earliestSlot(t), 1u);
+    t[2] = 39;
+    EXPECT_EQ(earliestSlot(t), 2u);
+    t[0] = 39;
+    EXPECT_EQ(earliestSlot(t), 0u);
+}
+
+TEST(EarliestSlot, MatchesEventQueueOrderOnRandomPlans)
+{
+    // Each slot follows a random plan of intervals drawn from a tiny
+    // range, so domains meet at equal ticks and the sampler often lands
+    // on an edge. An EventQueue holding one event per slot, at the
+    // priorities the processor's events had (domain id; 50 for the
+    // sampler), must dispatch in exactly the order earliestSlot picks.
+    struct PlannedSlot : Event
+    {
+        EventQueue &q;
+        std::vector<std::pair<std::size_t, Tick>> &log;
+        std::size_t slot;
+        const std::vector<Tick> &plan;
+        std::size_t next = 0;
+
+        PlannedSlot(EventQueue &queue,
+                    std::vector<std::pair<std::size_t, Tick>> &log_ref,
+                    std::size_t s, const std::vector<Tick> &p)
+            : Event(s == samplerSlot ? 50 : static_cast<int>(s)), q(queue),
+              log(log_ref), slot(s), plan(p)
+        {}
+
+        void
+        process() override
+        {
+            log.push_back({slot, q.now()});
+            q.schedule(this, q.now() + plan[next++ % plan.size()]);
+        }
+    };
+
+    constexpr std::size_t events = 400;
+    std::size_t ties = 0;
+    std::size_t samplerOnEdge = 0;
+    for (std::uint64_t trial = 0; trial < 40; ++trial) {
+        Rng rng(trial + 1);
+        const bool fiveDomains = rng.chance(0.5);
+        std::vector<std::vector<Tick>> plans(samplerSlot + 1);
+        SlotTimes start;
+        start.fill(maxTick);
+        for (std::size_t s = 0; s <= samplerSlot; ++s) {
+            if (s == 4 && !fiveDomains)
+                continue;
+            const bool sampler = s == samplerSlot;
+            for (int i = 0; i < 16; ++i)
+                plans[s].push_back(sampler ? 2 + trial % 3
+                                           : 1 + rng.below(4));
+            start[s] = 1 + rng.below(3);
+        }
+
+        EventQueue eq;
+        std::vector<std::pair<std::size_t, Tick>> queued;
+        std::vector<std::unique_ptr<PlannedSlot>> slots;
+        for (std::size_t s = 0; s <= samplerSlot; ++s) {
+            if (start[s] == maxTick)
+                continue;
+            slots.push_back(
+                std::make_unique<PlannedSlot>(eq, queued, s, plans[s]));
+            eq.schedule(slots.back().get(), start[s]);
+        }
+        for (std::size_t i = 0; i < events; ++i)
+            ASSERT_TRUE(eq.step());
+
+        std::vector<std::pair<std::size_t, Tick>> scanned;
+        SlotTimes t = start;
+        std::vector<std::size_t> next(samplerSlot + 1, 0);
+        for (std::size_t i = 0; i < events; ++i) {
+            const std::size_t s = earliestSlot(t);
+            const Tick now = t[s];
+            if (!scanned.empty() && scanned.back().second == now) {
+                ++ties;
+                samplerOnEdge += s == samplerSlot;
+            }
+            scanned.push_back({s, now});
+            t[s] = now + plans[s][next[s]++ % plans[s].size()];
+        }
+        ASSERT_EQ(scanned, queued) << "trial " << trial;
+    }
+    // The plans really exercised both kinds of tie.
+    EXPECT_GT(ties, 1000u);
+    EXPECT_GT(samplerOnEdge, 100u);
 }
 
 TEST(ClockDomain, DomainNames)

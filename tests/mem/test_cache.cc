@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "common/random.hh"
 #include "mem/cache.hh"
 
@@ -125,10 +126,8 @@ TEST(Cache, Table1Shapes)
 
 TEST(CacheDeath, BadGeometry)
 {
-    EXPECT_EXIT(Cache(Cache::Config{"bad", 0, 2, 64}),
-                ::testing::ExitedWithCode(1), "zero");
-    EXPECT_EXIT(Cache(Cache::Config{"bad", 3, 2, 64}),
-                ::testing::ExitedWithCode(1), "powers of two");
+    EXPECT_THROW(Cache(Cache::Config{"bad", 0, 2, 64}), ConfigError);
+    EXPECT_THROW(Cache(Cache::Config{"bad", 3, 2, 64}), ConfigError);
 }
 
 } // namespace

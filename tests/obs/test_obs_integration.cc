@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/mcdsim.hh"
+#include "obs/debug_flags.hh"
 
 namespace mcd
 {
@@ -97,6 +98,37 @@ TEST(ObsIntegration, ObservabilityDoesNotPerturbSimulation)
     EXPECT_EQ(off.wallTicks, on.wallTicks);
     EXPECT_EQ(off.eventsProcessed, on.eventsProcessed);
     EXPECT_DOUBLE_EQ(off.energy, on.energy);
+}
+
+TEST(ObsIntegration, EventQueueFlagPrintsOneLinePerDispatch)
+{
+#if MCDSIM_TRACE_ENABLED
+    RunOptions opts;
+    opts.instructions = 2000;
+    obs::setDebugFlagMask(1u << static_cast<std::uint32_t>(
+                              obs::DebugFlag::EventQueue));
+    ::testing::internal::CaptureStderr();
+    const SimResult r = tracedRun(opts);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    obs::clearDebugFlagOverride();
+
+    std::uint64_t edges = 0;
+    std::uint64_t samples = 0;
+    std::size_t pos = 0;
+    const std::string tag = "trace[EventQueue]: t=";
+    while ((pos = err.find(tag, pos)) != std::string::npos) {
+        const std::size_t eol = err.find('\n', pos);
+        const std::string line = err.substr(pos, eol - pos);
+        edges += line.find(" dispatch clock-edge prio=") != std::string::npos;
+        samples +=
+            line.find(" dispatch dvfs-sampler prio=50") != std::string::npos;
+        pos = eol;
+    }
+    EXPECT_GT(samples, 0u);
+    EXPECT_EQ(edges + samples, r.eventsProcessed);
+#else
+    GTEST_SKIP() << "MCDSIM_TRACE is compiled out of this build";
+#endif
 }
 
 } // namespace

@@ -60,11 +60,9 @@ class ThrowingEvent : public Event
 
 TEST(EventQueue, SurvivesProcessThrowMidDispatch)
 {
-    // Regression: step() defers the root removal while process()
-    // runs (the fused-reschedule fast path). If process() throws,
-    // the DispatchGuard must still complete the removal — otherwise
-    // the stale root corrupts every later sift and the queue either
-    // re-dispatches the dead event or violates heap order.
+    // If process() throws, the event must already be off the heap:
+    // a stale entry would corrupt every later sift, and the queue
+    // would either re-dispatch the dead event or violate heap order.
     ScopedCheckThrower guard;
     EventQueue eq;
     std::vector<int> log;
@@ -94,8 +92,8 @@ TEST(EventQueue, ThrownEventCanBeRescheduled)
     ThrowingEvent bad(log, 7);
     eq.schedule(&bad, 10);
     EXPECT_THROW(eq.step(), CheckFailure);
-    // The guard cleared the in-dispatch state: the same event object
-    // is schedulable again and processes normally (disarmed).
+    // The thrown event left the queue: the same event object is
+    // schedulable again and processes normally (disarmed).
     eq.schedule(&bad, 20);
     eq.runUntil(100);
     EXPECT_EQ(log, (std::vector<int>{7}));
@@ -313,12 +311,9 @@ TEST(EventQueueDeath, PastSchedulePanics)
 
 TEST(EventQueue, SameTickLowerPriorityInsertionDuringProcess)
 {
-    // Regression test for the fused reschedule path: while an event's
-    // process() runs, its heap entry lingers at the root awaiting
-    // fusion. An insertion at the same tick with a *lower* priority
-    // value must still land ahead of everything else — the queue has
-    // to complete the deferred removal before the sift-up, or the new
-    // entry could settle above the stale root and corrupt the order.
+    // An insertion made from process() at the current tick with a
+    // *lower* priority value must still land ahead of every other
+    // same-tick event.
     EventQueue eq;
     std::vector<int> log;
     LogEvent urgent(log, 2, 0);   // inserted mid-process at the same tick
@@ -354,10 +349,9 @@ TEST(EventQueue, SameTickLowerPriorityInsertionDuringProcess)
 TEST(EventQueue, FusedRescheduleEquivalentToPopPlusPush)
 {
     // The same randomized edge stream driven through two queues: in
-    // queue A every ticker reschedules itself from inside process()
-    // (the fused overwrite-root path); in queue B the reschedule is
-    // issued by the driver after step() returns (the plain pop + push
-    // path). Identical plans must yield identical dispatch orders.
+    // queue A every ticker reschedules itself from inside process();
+    // in queue B the reschedule is issued by the test loop after step()
+    // returns. Identical plans must yield identical dispatch orders.
     struct PlannedTicker : Event
     {
         EventQueue &q;
@@ -424,12 +418,12 @@ TEST(EventQueue, FusedRescheduleEquivalentToPopPlusPush)
         return log;
     };
 
-    std::vector<std::pair<int, Tick>> fused, plain;
-    { SCOPED_TRACE("fused"); fused = drive(true); }
+    std::vector<std::pair<int, Tick>> inside, plain;
+    { SCOPED_TRACE("inside"); inside = drive(true); }
     { SCOPED_TRACE("plain"); plain = drive(false); }
-    ASSERT_EQ(fused.size(),
+    ASSERT_EQ(inside.size(),
               static_cast<std::size_t>(tickers) * (edges + 1));
-    EXPECT_EQ(fused, plain);
+    EXPECT_EQ(inside, plain);
 }
 
 TEST(EventQueue, ManyEventsStressOrdering)

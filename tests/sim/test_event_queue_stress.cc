@@ -152,8 +152,7 @@ class ChainEvent : public Event
 
 TEST(EventQueueStress, SelfReschedulingChainsMatchReferenceModel)
 {
-    // Every dispatch in this test exercises the fused reschedule path
-    // (each event reschedules itself from inside process()). Unique
+    // Every event reschedules itself from inside process(). Unique
     // per-event priorities make the expected order computable without
     // modelling insertion sequence numbers: merge all chains by
     // (tick, priority).
@@ -162,7 +161,6 @@ TEST(EventQueueStress, SelfReschedulingChainsMatchReferenceModel)
     constexpr int edges = 300;
 
     EventQueue eq;
-    eq.reserve(chains); // steady state: one pending edge per chain
     std::vector<int> log;
     std::vector<std::unique_ptr<ChainEvent>> events;
 

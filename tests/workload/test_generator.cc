@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "common/error.hh"
 #include "workload/phase_generator.hh"
 
 namespace mcd
@@ -263,14 +264,13 @@ TEST(Generator, MemOpsHaveAddresses)
 
 TEST(GeneratorDeath, NoPhasesRejected)
 {
-    EXPECT_EXIT(PhaseTraceGenerator("t", {}, 1000, 1),
-                ::testing::ExitedWithCode(1), "no phases");
+    EXPECT_THROW(PhaseTraceGenerator("t", {}, 1000, 1), ConfigError);
 }
 
 TEST(GeneratorDeath, ZeroInstructionsRejected)
 {
-    EXPECT_EXIT(PhaseTraceGenerator("t", {simplePhase()}, 0, 1),
-                ::testing::ExitedWithCode(1), "zero instructions");
+    EXPECT_THROW(PhaseTraceGenerator("t", {simplePhase()}, 0, 1),
+                 ConfigError);
 }
 
 } // namespace
