@@ -11,19 +11,12 @@
  *                                          # one slice of the sweep
  *   bench_campaign --merge m1.txt,m2.txt,m3.txt ...
  *                                          # combine slices
- *   bench_campaign --bench-json PATH ...   # cold/warm timing record
  *
  * The comparison table is byte-identical however it was produced —
  * cold cache, warm cache, merged shards, or --cache=off
  * (tools/cache/check_cache_correctness.py holds the layer to that).
- *
- * Wall-clock timing (--bench-json) lives here in bench/ because
- * tools/lint bans host time from src/: a cached result must be
- * byte-identical to a computed one, and host time may never leak
- * into either.
  */
 
-#include <chrono>
 #include <sstream>
 
 #include "bench_common.hh"
@@ -52,13 +45,6 @@ mergeList()
 {
     static std::string list;
     return list;
-}
-
-std::string &
-benchJsonPath()
-{
-    static std::string path;
-    return path;
 }
 
 std::vector<std::uint64_t> &
@@ -98,20 +84,6 @@ splitCommas(const std::string &text)
     return out;
 }
 
-ControllerKind
-parseScheme(const std::string &name)
-{
-    if (name == "adaptive")
-        return ControllerKind::Adaptive;
-    if (name == "pid-fixed-interval" || name == "pid")
-        return ControllerKind::Pid;
-    if (name == "attack-decay")
-        return ControllerKind::AttackDecay;
-    throw ConfigError("--schemes",
-                      "unknown scheme '" + name +
-                          "' (use adaptive, pid, attack-decay)");
-}
-
 void
 registerCampaignOptions()
 {
@@ -140,12 +112,9 @@ registerCampaignOptions()
                                  "pid,attack-decay)",
          [](const std::string &v) {
              for (const auto &s : splitCommas(v))
-                 schemeList().push_back(parseScheme(s));
+                 schemeList().push_back(
+                     parseControllerKind(s, "--schemes"));
          }});
-    mcdbench::addHarnessOption(
-        {"--bench-json", "PATH", "time a cold-then-warm pass, write "
-                                 "BENCH_campaign.json",
-         [](const std::string &v) { benchJsonPath() = v; }});
 }
 
 CampaignSpec
@@ -179,63 +148,6 @@ emitComplete(const CampaignSpec &spec, const CampaignResult &result)
     return mcdbench::reportFailures(result);
 }
 
-/** Timed cold-then-warm pass; writes the flat JSON perf record. */
-int
-runTimedBench(const CampaignSpec &spec, RunCache &cache,
-              const char *argv0)
-{
-    if (!cache.writable())
-        mcdbench::argError(argv0, "--bench-json",
-                           "timing mode needs --cache=readwrite");
-
-    auto timedRun = [&](RunCache &c) {
-        Campaign campaign(spec, &c);
-        const auto t0 = std::chrono::steady_clock::now();
-        CampaignResult r = campaign.run();
-        const auto t1 = std::chrono::steady_clock::now();
-        return std::make_pair(
-            std::chrono::duration<double>(t1 - t0).count(),
-            std::move(r));
-    };
-
-    auto [coldSeconds, cold] = timedRun(cache);
-    // Fresh RunCache over the same directory: counters start at zero,
-    // so the warm pass's hit count is its own.
-    RunCache warmCache(cache.config());
-    auto [warmSeconds, warm] = timedRun(warmCache);
-
-    const bool allHit = warm.cached == warm.total;
-    const double speedup =
-        warmSeconds > 0.0 ? coldSeconds / warmSeconds : 0.0;
-
-    std::ostringstream js;
-    js << "{\n";
-    js << "  \"runs\": " << cold.total << ",\n";
-    js << "  \"instructions_per_run\": " << spec.options.instructions
-       << ",\n";
-    js << "  \"cold_seconds\": " << coldSeconds << ",\n";
-    js << "  \"cold_executed\": " << cold.executed << ",\n";
-    js << "  \"warm_seconds\": " << warmSeconds << ",\n";
-    js << "  \"warm_cached\": " << warm.cached << ",\n";
-    js << "  \"warm_all_hits\": " << (allHit ? "true" : "false")
-       << ",\n";
-    js << "  \"warm_speedup\": " << speedup << "\n";
-    js << "}\n";
-    mcdbench::writeArtifact(benchJsonPath(), js.str());
-
-    std::fprintf(stderr,
-                 "campaign bench: cold %.2fs (%zu runs), warm %.2fs "
-                 "(%zu hits), speedup %.1fx\n",
-                 coldSeconds, cold.executed, warmSeconds, warm.cached,
-                 speedup);
-    if (!allHit || cold.failed || warm.failed) {
-        std::fprintf(stderr, "campaign bench: warm pass missed the "
-                             "cache or runs failed\n");
-        return 1;
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -247,9 +159,6 @@ main(int argc, char **argv)
     try {
         const CampaignSpec spec = buildSpec();
         RunCache cache = mcdbench::openRunCache();
-
-        if (!benchJsonPath().empty())
-            return runTimedBench(spec, cache, argv[0]);
 
         CampaignResult result;
         if (!mergeList().empty()) {

@@ -19,10 +19,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <initializer_list>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -230,18 +228,14 @@ addHarnessOption(OptionDef def)
 }
 
 /**
- * Drop every option not named in @p keep (call before
- * parseHarnessArgs). A harness that runs no simulation — or, like
- * bench_wallclock, runs them outside the one launch path — must
- * reject the flags it cannot honour rather than ignore them.
+ * Drop every option (call before parseHarnessArgs). A harness that
+ * runs no simulation accepts only --help: it must reject the flags it
+ * cannot honour rather than ignore them.
  */
 inline void
-restrictOptions(std::initializer_list<std::string_view> keep)
+clearOptions()
 {
-    auto &table = optionTable();
-    std::erase_if(table, [&](const OptionDef &def) {
-        return std::find(keep.begin(), keep.end(), def.name) == keep.end();
-    });
+    optionTable().clear();
 }
 
 /** Print the generated usage/help text for the current table. */

@@ -17,7 +17,7 @@ using namespace mcd;
 int
 main(int argc, char **argv)
 {
-    mcdbench::restrictOptions({}); // analytic: --help only
+    mcdbench::clearOptions(); // analytic: --help only
     mcdbench::parseHarnessArgs(argc, argv);
     mcdbench::banner(
         "FIGURE 6",

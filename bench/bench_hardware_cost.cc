@@ -35,7 +35,7 @@ printCost(const HardwareCost &hw)
 int
 main(int argc, char **argv)
 {
-    mcdbench::restrictOptions({}); // analytic: --help only
+    mcdbench::clearOptions(); // analytic: --help only
     mcdbench::parseHarnessArgs(argc, argv);
     mcdbench::banner("HARDWARE COST",
                      "Decision-logic cost per scheme (Figure 5)");

@@ -2,8 +2,10 @@
  * @file
  * Google-benchmark microbenchmarks: cost of the controller decision
  * paths (the paper argues the adaptive decision logic is simple and
- * cheap — Section 3's hardware discussion), plus simulator and FFT
- * throughput for harness-scaling estimates.
+ * cheap — Section 3's hardware discussion), plus multitaper-PSD
+ * throughput for harness-scaling estimates. Simulator, branch
+ * predictor and cache speed are perfbench's to measure
+ * (perfbench/run.py).
  */
 
 #include <benchmark/benchmark.h>
@@ -77,48 +79,6 @@ BM_AttackDecaySample(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AttackDecaySample);
-
-void
-BM_BranchPredictor(benchmark::State &state)
-{
-    BranchPredictor bp;
-    Addr pc = 0x4000;
-    int i = 0;
-    for (auto _ : state) {
-        pc = 0x4000 + (i % 64) * 4;
-        const auto pred = bp.predict(pc);
-        benchmark::DoNotOptimize(pred);
-        bp.update(pc, i % 7 != 6, pc - 64);
-        ++i;
-    }
-}
-BENCHMARK(BM_BranchPredictor);
-
-void
-BM_CacheAccess(benchmark::State &state)
-{
-    Cache cache(Cache::Config{"bench", 64, 2, 64});
-    Rng rng(1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cache.access(rng.below(1 << 20)));
-}
-BENCHMARK(BM_CacheAccess);
-
-void
-BM_SimulatedInstructionThroughput(benchmark::State &state)
-{
-    // Whole-simulator throughput: simulated instructions per second.
-    for (auto _ : state) {
-        auto src = makeBenchmark("adpcm_enc", 20000, 1);
-        SimConfig cfg;
-        cfg.controller = ControllerKind::Adaptive;
-        McdProcessor proc(cfg, *src);
-        benchmark::DoNotOptimize(proc.run());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 20000);
-}
-BENCHMARK(BM_SimulatedInstructionThroughput)->Unit(benchmark::kMillisecond);
 
 void
 BM_MultitaperPsd(benchmark::State &state)

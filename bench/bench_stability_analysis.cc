@@ -139,7 +139,7 @@ remark3()
 int
 main(int argc, char **argv)
 {
-    mcdbench::restrictOptions({}); // analytic: --help only
+    mcdbench::clearOptions(); // analytic: --help only
     mcdbench::parseHarnessArgs(argc, argv);
     remark1();
     remark2();

@@ -12,7 +12,7 @@ using namespace mcd;
 int
 main(int argc, char **argv)
 {
-    mcdbench::restrictOptions({}); // analytic: --help only
+    mcdbench::clearOptions(); // analytic: --help only
     mcdbench::parseHarnessArgs(argc, argv);
     mcdbench::banner("TABLE 1", "Summary of All Simulation Parameters");
 

@@ -11,10 +11,14 @@
  *     --insts N             instructions per run (default 600000)
  *     --seed N              workload seed (default 1)
  *     --baseline            also run the MCD baseline and print deltas
+ *                           (human output only)
  *     --csv                 CSV output (one row per run)
  *     --json                JSON output (single run only)
  *     --save-trace PATH     write the generated trace to a file and exit
+ *                           (takes only --bench, --insts and --seed)
  *     --list                list benchmark profiles and exit
+ *
+ * A combination that would ignore a flag is a config error.
  *
  * Run-cache maintenance (store at --cache-dir or MCDSIM_CACHE_DIR):
  *   mcdsim_cli cache stats [--cache-dir PATH]
@@ -33,21 +37,6 @@
 
 namespace
 {
-
-mcd::ControllerKind
-parseScheme(const std::string &name)
-{
-    if (name == "adaptive")
-        return mcd::ControllerKind::Adaptive;
-    if (name == "pid")
-        return mcd::ControllerKind::Pid;
-    if (name == "attack-decay")
-        return mcd::ControllerKind::AttackDecay;
-    if (name == "fixed")
-        return mcd::ControllerKind::Fixed;
-    mcd::fatal("unknown scheme '%s' (adaptive|pid|attack-decay|fixed)",
-               name.c_str());
-}
 
 void
 printHuman(const mcd::SimResult &r)
@@ -136,7 +125,7 @@ try {
         return cacheCommand(argc, argv);
 
     std::string bench = "epic_decode";
-    std::string scheme = "adaptive";
+    std::string scheme;
     mcd::RunOptions opts;
     opts.instructions = 600'000;
     bool with_baseline = false;
@@ -183,7 +172,20 @@ try {
         }
     }
 
+    // Refuse combinations in which a flag would do nothing.
+    auto conflict = [](bool both, const char *site, const char *other) {
+        if (both)
+            throw mcd::ConfigError(site, std::string("cannot be combined "
+                                                     "with ") + other);
+    };
+    conflict(with_baseline && csv, "--baseline", "--csv");
+    conflict(with_baseline && json, "--baseline", "--json");
+    conflict(csv && json, "--json", "--csv");
     if (!save_trace.empty()) {
+        conflict(!scheme.empty(), "--save-trace", "--scheme");
+        conflict(with_baseline, "--save-trace", "--baseline");
+        conflict(csv, "--save-trace", "--csv");
+        conflict(json, "--save-trace", "--json");
         auto src =
             mcd::makeBenchmark(bench, opts.instructions, opts.seed);
         const auto n = mcd::writeTraceFile(save_trace, *src);
@@ -201,11 +203,15 @@ try {
         names.push_back(bench);
     }
 
-    const mcd::ControllerKind kind = parseScheme(scheme);
+    if (json && names.size() != 1)
+        throw mcd::ConfigError("--json", "supports a single run");
+
+    const mcd::ControllerKind kind = mcd::parseControllerKind(
+        scheme.empty() ? "adaptive" : scheme, "--scheme");
     std::vector<mcd::SimResult> results;
     for (const auto &n : names) {
         mcd::SimResult r = mcd::run(mcd::schemeSpec(n, kind, opts));
-        if (with_baseline && !csv && !json) {
+        if (with_baseline) {
             const mcd::SimResult base =
                 mcd::run(mcd::mcdBaselineSpec(n, opts));
             const mcd::Comparison c = mcd::compare(r, base);
@@ -219,8 +225,6 @@ try {
     }
 
     if (json) {
-        if (results.size() != 1)
-            mcd::fatal("--json supports a single run");
         std::printf("%s\n", mcd::resultJson(results[0]).c_str());
     } else if (csv) {
         mcd::writeResultsCsv(std::cout, results);

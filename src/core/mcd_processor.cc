@@ -25,6 +25,22 @@ controllerKindName(ControllerKind kind)
     panic("unknown controller kind %d", static_cast<int>(kind));
 }
 
+ControllerKind
+parseControllerKind(const std::string &name, const char *site)
+{
+    if (name == "pid")
+        return ControllerKind::Pid;
+    for (ControllerKind kind :
+         {ControllerKind::Fixed, ControllerKind::Adaptive,
+          ControllerKind::Pid, ControllerKind::AttackDecay}) {
+        if (name == controllerKindName(kind))
+            return kind;
+    }
+    throw ConfigError(site, "unknown scheme '" + name +
+                                "' (use adaptive, pid, attack-decay, "
+                                "fixed)");
+}
+
 namespace
 {
 

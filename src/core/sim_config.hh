@@ -46,6 +46,14 @@ enum class ControllerKind : std::uint8_t
 /** Scheme name for reports. */
 const char *controllerKindName(ControllerKind kind);
 
+/**
+ * Inverse of controllerKindName(), plus "pid" for Pid. Custom has no
+ * spelling (it needs a factory); any other name throws ConfigError at
+ * @p site.
+ */
+ControllerKind parseControllerKind(const std::string &name,
+                                   const char *site);
+
 /** Complete configuration of one simulation. */
 struct SimConfig
 {

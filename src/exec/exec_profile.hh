@@ -7,8 +7,8 @@
  * and queue wait inside WorkerPool, plus named run-level phase timers
  * from ParallelRunner. These are properties of the host machine, not
  * of the simulation, so they are registered with obs::statHost and
- * excluded from deterministic stats dumps; bench harnesses surface
- * them in BENCH_exec.json instead.
+ * excluded from deterministic stats dumps; perfbench's campaign-cold
+ * workload reports them as its exec.* per-layer metrics instead.
  *
  * Thread safety: the recorders take an internal mutex (they are
  * called from pool workers); the render/register side locks the same

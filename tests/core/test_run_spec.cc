@@ -11,6 +11,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/error.hh"
 #include "core/run_spec.hh"
 #include "exec/parallel_runner.hh"
 #include "fault/fault_plan.hh"
@@ -170,6 +171,23 @@ TEST(RunSpecLabels, KindNamesAndRunLabels)
     EXPECT_EQ(runLabel(mcdBaselineSpec("gzip", opts)), "mcd-baseline");
     EXPECT_EQ(runLabel(syncBaselineSpec("gzip", opts)),
               "sync-baseline");
+}
+
+TEST(RunSpecLabels, ControllerKindNamesRoundTrip)
+{
+    for (ControllerKind kind :
+         {ControllerKind::Fixed, ControllerKind::Adaptive,
+          ControllerKind::Pid, ControllerKind::AttackDecay})
+        EXPECT_EQ(parseControllerKind(controllerKindName(kind), "--s"),
+                  kind);
+    EXPECT_EQ(parseControllerKind("pid", "--s"), ControllerKind::Pid);
+    EXPECT_THROW(parseControllerKind("custom", "--s"), ConfigError);
+    try {
+        parseControllerKind("bogus", "--scheme");
+        FAIL() << "an unknown scheme name must throw";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.site(), "--scheme");
+    }
 }
 
 TEST(RunSpecResolve, KindImpliedOverrides)

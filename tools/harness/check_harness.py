@@ -8,8 +8,8 @@ Two checks, one harness binary per invocation:
           are pure functions of the code, so any diff is a behaviour
           change.
 
-  flags   the every-flag-honoured-or-rejected contract. --kind selects
-          what the harness must do:
+  flags   the every-flag-honoured-or-rejected contract
+          (MCDSIM_INSTS=4000). --kind selects what the harness must do:
 
           sim       (every harness that launches runs through Campaign)
                     --shard 2/3 exits 2 (bench_campaign: runs the slice);
@@ -25,13 +25,11 @@ Two checks, one harness binary per invocation:
                     code is checked);
                     --event-budget 1 exits 1 with a timed_out run;
                     --stats-out P writes P and P.json.
-          exec      (bench_wallclock) --jobs works, every other flag
-                    exits 2.
           analytic  (no simulation) --help works, every flag exits 2.
 
 Usage:
   check_harness.py golden --run BIN --expect FILE [ARGS...]
-  check_harness.py flags --run BIN --kind sim|exec|analytic [--fault-sweep]
+  check_harness.py flags --run BIN --kind sim|analytic [--fault-sweep]
 """
 
 import argparse
@@ -144,26 +142,11 @@ def check_sim(binary, env, tmp, fault_sweep=False):
     return "sim flags honoured"
 
 
-def check_rejects(binary, env, tmp, accepted):
-    for flag in SIM_FLAGS:
-        if flag[0] in accepted:
-            continue
-        args = [a.format(tmp=tmp) for a in flag]
-        expect_exit(run(binary, args, env), 2, " ".join(args))
-
-
-def check_exec(binary, env, tmp):
-    proc = run(binary, ["--jobs", "2"], env)
-    expect_exit(proc, 0, "--jobs 2")
-    if '"harness": "bench_wallclock"' not in proc.stdout:
-        raise Failure("--jobs 2 printed no timing record")
-    check_rejects(binary, env, tmp, {"--jobs"})
-    return "--jobs honoured, every other flag rejected"
-
-
 def check_analytic(binary, env, tmp):
     expect_exit(run(binary, ["--help"], env), 0, "--help")
-    check_rejects(binary, env, tmp, set())
+    for flag in SIM_FLAGS:
+        args = [a.format(tmp=tmp) for a in flag]
+        expect_exit(run(binary, args, env), 2, " ".join(args))
     return "every simulation flag rejected"
 
 
@@ -177,9 +160,7 @@ def main():
     flags = sub.add_parser("flags")
     flags.add_argument("--run", required=True, help="harness binary")
     flags.add_argument("--kind", required=True,
-                       choices=("sim", "exec", "analytic"))
-    flags.add_argument("--insts", default="4000",
-                       help="instructions per run (MCDSIM_INSTS)")
+                       choices=("sim", "analytic"))
     flags.add_argument("--fault-sweep", action="store_true",
                        help="the harness injects its own sim faults")
     # Golden mode passes everything it does not know to the harness.
@@ -190,7 +171,7 @@ def main():
     env = dict(os.environ)
     for var in ("MCDSIM_CACHE_DIR", "MCDSIM_FAULTS", "MCDSIM_JOBS"):
         env.pop(var, None)
-    env["MCDSIM_INSTS"] = "20000" if args.mode == "golden" else args.insts
+    env["MCDSIM_INSTS"] = "20000" if args.mode == "golden" else "4000"
 
     name = os.path.basename(args.run)
     try:
@@ -202,8 +183,6 @@ def main():
                 if args.kind == "sim":
                     verdict = check_sim(args.run, env, tmp,
                                         args.fault_sweep)
-                elif args.kind == "exec":
-                    verdict = check_exec(args.run, env, tmp)
                 else:
                     verdict = check_analytic(args.run, env, tmp)
     except Failure as e:

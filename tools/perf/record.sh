@@ -6,7 +6,8 @@
 # Usage: tools/perf/record.sh [--smoke] [--seconds N] [--seed N]
 #                             [--out FILE] WORKLOAD...
 #   WORKLOAD   kernel-ilp, kernel-membound or campaign-cold
-#   --out      output file (default: BENCH_kernel.json at the repo root)
+#   --out      trajectory file (default: BENCH_kernel.json at the repo
+#              root)
 #   --seconds  measured seconds per workload (default 30, the benchmark's
 #              run_seconds)
 #   --seed     workload seed (default 1)
@@ -17,6 +18,11 @@
 # line perfbench prints. A speed claim compares records of the parent
 # and of the change made on the same host, in alternating pairs
 # (perfbench/METHODOLOGY.md).
+#
+# --out holds a trajectory, {"records": [...]}, one record per source
+# tree: a record with the same host git_rev and src_digest is replaced,
+# any other is appended, and a file holding one bare record becomes
+# the first record of the trajectory.
 
 set -euo pipefail
 
@@ -33,7 +39,7 @@ while [[ $# -gt 0 ]]; do
       --seconds) seconds="$2"; shift 2 ;;
       --seed) seed="$2"; shift 2 ;;
       --smoke) smoke=(--smoke); shift ;;
-      -h|--help) sed -n '2,19p' "$0"; exit 0 ;;
+      -h|--help) sed -n '2,25p' "$0"; exit 0 ;;
       -*) echo "record.sh: unknown option $1" >&2; exit 2 ;;
       *) workloads+=("$1"); shift ;;
     esac
@@ -52,9 +58,11 @@ for w in "${workloads[@]}"; do
         --seconds "$seconds" --trace 0 "${smoke[@]}" > "$tmp/$w.out"
 done
 
-# perfbench names the checkout by HEAD; say whether the tree differed.
+# perfbench names the checkout by HEAD; say whether the measured code
+# (the simulator and the mcdbench driver) differed from it.
 dirty=0
-if [[ -n "$(git -C "$repo_root" status --porcelain -- src 2>/dev/null)" ]]; then
+if [[ -n "$(git -C "$repo_root" status --porcelain -- src perfbench \
+            2>/dev/null)" ]]; then
     dirty=1
 fi
 
@@ -82,8 +90,18 @@ for w in sys.argv[7:]:
         "correct": last["correct"],
         "metrics": {k: v["value"] for k, v in last["metrics"].items()},
     }
+
+records = []
+if os.path.exists(out):
+    with open(out) as f:
+        old = json.load(f)
+    records = old["records"] if "records" in old else [old]
+    if not all("host" in r and "workloads" in r for r in records):
+        sys.exit("record.sh: %s holds something other than records" % out)
+key = lambda r: (r["host"]["git_rev"], r["host"]["src_digest"])
+records = [r for r in records if key(r) != key(record)] + [record]
 with open(out, "w") as f:
-    json.dump(record, f, indent=1, sort_keys=True)
+    json.dump({"records": records}, f, indent=1, sort_keys=True)
     f.write("\n")
 print("wrote " + out)
 EOF
