@@ -201,7 +201,9 @@ optionTable()
                  v, "--retries",
                  std::numeric_limits<std::uint32_t>::max() - 1));
          }},
-        {"--event-budget", "N", "abort a run after N kernel events",
+        {"--event-budget", "N",
+         "abort a run after N kernel events (a budget turns off "
+         "idle-domain parking)",
          [](const std::string &v) {
              eventBudget() = mcd::parseUint(v, "--event-budget");
          }},

@@ -47,7 +47,7 @@ class Rob
         MCDSIM_CHECK(!full(), "ROB overflow");
         DynInst *inst = &slots[tail];
         *inst = DynInst{};
-        tail = (tail + 1) % slots.size();
+        tail = tail + 1 == slots.size() ? 0 : tail + 1;
         ++count;
         checkInvariant();
         return inst;
@@ -61,12 +61,19 @@ class Rob
         return &slots[headIdx];
     }
 
+    const DynInst *
+    head() const
+    {
+        MCDSIM_CHECK(!empty(), "ROB head of empty buffer");
+        return &slots[headIdx];
+    }
+
     /** Retire the head; its storage is recycled. */
     void
     retireHead()
     {
         MCDSIM_CHECK(!empty(), "ROB retire of empty buffer");
-        headIdx = (headIdx + 1) % slots.size();
+        headIdx = headIdx + 1 == slots.size() ? 0 : headIdx + 1;
         --count;
         ++retired;
         checkInvariant();
@@ -93,8 +100,11 @@ class Rob
                          slots.size());
         MCDSIM_INVARIANT(headIdx < slots.size() && tail < slots.size(),
                          "ROB indices out of range");
-        MCDSIM_INVARIANT((headIdx + count) % slots.size() ==
-                             tail % slots.size(),
+        // Both bounds hold, so headIdx + count < 2 * size: one
+        // conditional subtraction is the modulo, and tail is its own.
+        const std::size_t end = headIdx + count;
+        MCDSIM_INVARIANT((end < slots.size() ? end : end - slots.size()) ==
+                             tail,
                          "ROB head/tail disagree with occupancy");
     }
 

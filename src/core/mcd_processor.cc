@@ -1,6 +1,7 @@
 #include "core/mcd_processor.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.hh"
@@ -145,6 +146,12 @@ McdProcessor::McdProcessor(const SimConfig &config, WorkloadSource &source)
     }
     slotTimes[samplerSlot] = samplingPeriod;
 
+    // Parking reorders dispatches, so it is off wherever the order of
+    // single events is observable: an event budget (its trip tick is
+    // part of its message), per-edge trace events, EventQueue lines.
+    parkingEnabled = cfg.eventBudget == 0 && !traceSink.wantsClockEdges() &&
+                     !obs::debugFlagEnabled(obs::DebugFlag::EventQueue);
+
     // Observability wiring: attach the trace sink (components cache
     // the pointer, so disabled tracing costs nothing at run time) and
     // seed the frequency counter tracks with the initial operating
@@ -262,18 +269,21 @@ McdProcessor::registerStats()
     reorderBuffer.registerStats(statsReg, "frontend.rob");
     statsReg.addIntCallback("frontend.cycles", "front-end clock cycles",
                             [this] { return feCycles; });
+    const auto stall = [this](FeStall s) {
+        return [this, s] { return feStalls[static_cast<std::size_t>(s)]; };
+    };
     statsReg.addIntCallback("frontend.stall.fetch",
                             "cycles stalled on I-miss or redirect",
-                            [this] { return feFetchStalled; });
+                            stall(FeStall::Fetch));
     statsReg.addIntCallback("frontend.stall.branch",
                             "cycles blocked on an unresolved mispredict",
-                            [this] { return feBranchBlocked; });
+                            stall(FeStall::Branch));
     statsReg.addIntCallback("frontend.stall.rob_full",
                             "dispatch halts on a full ROB",
-                            [this] { return feRobFull; });
+                            stall(FeStall::RobFull));
     statsReg.addIntCallback("frontend.stall.queue_full",
                             "dispatch halts on a full cluster queue",
-                            [this] { return feQueueFull; });
+                            stall(FeStall::QueueFull));
     statsReg.addIntCallback("frontend.mispredicts",
                             "branch mispredicts requiring redirect",
                             [this] { return mispredicts; });
@@ -358,7 +368,7 @@ McdProcessor::handleBranchAtDispatch(DynInst *inst)
     return mispredict;
 }
 
-void
+McdProcessor::FeStall
 McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
 {
     // A mispredicted branch blocks fetch until its resolution time is
@@ -366,19 +376,15 @@ McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
     if (blockedBranchSeq != 0) {
         const Tick t = completion.readyTime(
             blockedBranchSeq, DomainId::FrontEnd, crossPenalty());
-        if (t == maxTick) {
-            ++feBranchBlocked;
-            return; // still unresolved
-        }
+        if (t == maxTick)
+            return FeStall::Branch; // still unresolved
         const Tick resume =
             t + Tick(cfg.branchRedirectCycles) * domains[0]->period();
         fetchStallUntil = std::max(fetchStallUntil, resume);
         blockedBranchSeq = 0;
     }
-    if (now < fetchStallUntil) {
-        ++feFetchStalled;
-        return;
-    }
+    if (now < fetchStallUntil)
+        return FeStall::Fetch;
 
     const Volt fe_volt = domains[0]->voltage();
     while (dispatched_this_cycle < cfg.fetchWidth) {
@@ -405,15 +411,11 @@ McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
             }
         }
 
-        if (reorderBuffer.full()) {
-            ++feRobFull;
-            break;
-        }
+        if (reorderBuffer.full())
+            return FeStall::RobFull;
         IssueQueue &q = queueFor(pendingInst.cls);
-        if (q.full()) {
-            ++feQueueFull;
-            break;
-        }
+        if (q.full())
+            return FeStall::QueueFull;
 
         DynInst *inst = reorderBuffer.allocate();
         inst->in = pendingInst;
@@ -421,7 +423,7 @@ McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
         havePending = false;
 
         const DomainId exec_dom = domainFor(inst->in.cls);
-        completion.beginInst(inst->seq, exec_dom);
+        beginInst(inst->seq, exec_dom);
         // The queue write launches mid-way through the dispatching
         // front-end cycle (dispatch logic settles well before the next
         // edge); the consumer captures it at its first edge from then
@@ -457,6 +459,26 @@ McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
             break;
         }
     }
+    return FeStall::None;
+}
+
+McdProcessor::FrontEndCharge
+McdProcessor::frontEndCharge(std::size_t rob_occupancy, FeStall stall,
+                             bool active)
+{
+    return {static_cast<double>(rob_occupancy), stall,
+            energy.clockJoules(DomainId::FrontEnd, domains[0]->voltage(),
+                               active)};
+}
+
+void
+McdProcessor::apply(const FrontEndCharge &c)
+{
+    ++feCycles;
+    robOccupancySum += c.robOccupancy;
+    if (c.stall != FeStall::None)
+        ++feStalls[static_cast<std::size_t>(c.stall)];
+    energy.charge(DomainId::FrontEnd, EnergyCategory::Clock, c.clockJoules);
 }
 
 void
@@ -466,16 +488,13 @@ McdProcessor::frontEndTick()
     unsigned retired = 0;
     unsigned dispatched = 0;
 
-    ++feCycles;
-    robOccupancySum += static_cast<double>(reorderBuffer.occupancy());
+    const std::size_t rob_occupancy = reorderBuffer.occupancy();
     retireStage(now, retired);
-    if (cfg.fiveDomainPartition)
-        dispatchFromBuffer(now, dispatched);
-    else
-        dispatchStage(now, dispatched);
-
-    energy.addClockCycle(DomainId::FrontEnd, domains[0]->voltage(),
-                         retired > 0 || dispatched > 0);
+    feParkStall = cfg.fiveDomainPartition
+                      ? dispatchFromBuffer(now, dispatched)
+                      : dispatchStage(now, dispatched);
+    apply(frontEndCharge(rob_occupancy, feParkStall,
+                         retired > 0 || dispatched > 0));
 
     if (maxInstructions != 0 &&
         reorderBuffer.retiredCount() >= maxInstructions) {
@@ -566,7 +585,7 @@ McdProcessor::fetchTick()
     energy.addClockCycle(DomainId::Fetch, fd.voltage(), fetched > 0);
 }
 
-void
+McdProcessor::FeStall
 McdProcessor::dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle)
 {
     const Volt fe_volt = domains[0]->voltage();
@@ -575,22 +594,18 @@ McdProcessor::dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle)
         const FetchedInst &fe = fetchBuffer.front();
         if (fe.visibleTime > now)
             break;
-        if (reorderBuffer.full()) {
-            ++feRobFull;
-            break;
-        }
+        if (reorderBuffer.full())
+            return FeStall::RobFull;
         IssueQueue &q = queueFor(fe.in.cls);
-        if (q.full()) {
-            ++feQueueFull;
-            break;
-        }
+        if (q.full())
+            return FeStall::QueueFull;
 
         DynInst *inst = reorderBuffer.allocate();
         inst->in = fe.in;
         inst->seq = nextSeq++;
 
         const DomainId exec_dom = domainFor(inst->in.cls);
-        completion.beginInst(inst->seq, exec_dom);
+        beginInst(inst->seq, exec_dom);
         const Tick write_time = now + domains[0]->period() / 2;
         inst->queueVisibleTime =
             (cfg.mcdEnabled && q.empty())
@@ -616,6 +631,7 @@ McdProcessor::dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle)
         }
         fetchBuffer.pop_front();
     }
+    return FeStall::None;
 }
 
 // ---------------------------------------------------------------- clusters
@@ -625,8 +641,16 @@ void
 McdProcessor::checkSkippedSelect(const IssueQueue &queue, DomainId dom,
                                  Tick now) const
 {
+    // A replayed LS edge runs before the miss retirement of the next
+    // real one: count what is still busy at now.
+    const auto busy = std::count_if(outstandingMisses.begin(),
+                                    outstandingMisses.end(),
+                                    [now](Tick t) { return t > now; });
+    const bool mshrs_full = static_cast<std::size_t>(busy) >= cfg.mshrCount;
     queue.forEachVisible(now, [&](DynInst *inst) {
-        MCDSIM_DCHECK(srcReadyTime(*inst, dom) > now,
+        MCDSIM_DCHECK(srcReadyTime(*inst, dom) > now ||
+                          (dom == DomainId::LoadStore &&
+                           inst->in.cls == InstClass::Load && mshrs_full),
                       "%s: select memo skipped ready seq %llu at %llu",
                       queue.name().c_str(),
                       static_cast<unsigned long long>(inst->seq),
@@ -636,10 +660,10 @@ McdProcessor::checkSkippedSelect(const IssueQueue &queue, DomainId dom,
 }
 #endif
 
-template <typename TryIssue>
+template <typename TryIssue, typename RetryAt>
 unsigned
 McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
-                     TryIssue &&try_issue)
+                     TryIssue &&try_issue, RetryAt &&retry_at)
 {
     const Tick now = curTick;
     const DomainId dom = controlledDomains[ctl];
@@ -657,30 +681,45 @@ McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
 
     DynInst *selected[16];
     unsigned issued = 0;
-    Tick wake = maxTick;
-    bool found_ready = false;
+    SelectMemo next{maxTick, 0};
+    bool conclusive = true;
+    // Asked once: nothing a scan does can free a unit or an MSHR.
+    Tick retry = 0;
+    bool retry_known = false;
     queue.forEach([&](DynInst *inst) {
         if (inst->queueVisibleTime > now) {
-            wake = std::min(wake, inst->queueVisibleTime);
+            next.wakeTick = std::min(next.wakeTick, inst->queueVisibleTime);
             return true;
         }
         if (issued >= width || issued >= std::size(selected)) {
-            found_ready = true; // stopped early: the scan proves nothing
+            conclusive = false; // stopped early: the scan proves nothing
             return false;
         }
         const Tick ready = operandsReady(*inst, dom);
         if (ready > now) {
-            wake = std::min(wake, ready);
+            next.wakeTick = std::min(next.wakeTick, ready);
             return true; // operands pending: try younger entries
         }
-        found_ready = true;
-        if (try_issue(inst))
+        if (try_issue(inst)) {
             selected[issued++] = inst;
+            return true;
+        }
+        if (!retry_known) {
+            retry = retry_at();
+            retry_known = true;
+        }
+        if (retry > now)
+            next.wakeTick = std::min(next.wakeTick, retry);
+        else
+            conclusive = false;
         return true;
     });
     for (unsigned i = 0; i < issued; ++i)
         queue.erase(selected[i]);
-    memo = found_ready ? SelectMemo{} : SelectMemo{wake, completion.epoch()};
+    // Producers precede consumers in the oldest-first scan, so every
+    // entry was probed after this scan's own completions.
+    next.epoch = completion.epoch();
+    memo = conclusive ? next : SelectMemo{};
     return issued;
 }
 
@@ -714,9 +753,7 @@ McdProcessor::clusterTick(std::size_t ctl, IssueQueue &queue,
         pool.acquire(now, ClusterFus::blocking(inst->in.cls)
                               ? complete
                               : now + d.period());
-        inst->issued = true;
-        inst->completeTime = complete;
-        completion.complete(inst->seq, complete);
+        completeInst(*inst, complete);
 
         const auto &ec = energy.config();
         const bool muldiv = &pool == &fus.muldiv;
@@ -726,14 +763,34 @@ McdProcessor::clusterTick(std::size_t ctl, IssueQueue &queue,
         energy.addEvent(dom, EnergyCategory::Execute, e, d.voltage());
         return true;
     };
-    const unsigned issued = select(ctl, queue, width, try_issue);
+    // A busy unit frees within a cycle or two: a refusal proves
+    // nothing.
+    const unsigned issued =
+        select(ctl, queue, width, try_issue, [now] { return now; });
+    apply(clusterCharge(dom, queue, issued > 0));
+}
 
-    if (queue.occupancy() > 0) {
-        energy.addEvent(dom, EnergyCategory::IssueQueue,
-                        energy.config().iqWakeupPerEntry, d.voltage(),
-                        static_cast<double>(queue.occupancy()));
+McdProcessor::ClusterCharge
+McdProcessor::clusterCharge(DomainId dom, const IssueQueue &queue,
+                            bool issued)
+{
+    const Volt v = domains[static_cast<std::size_t>(dom)]->voltage();
+    ClusterCharge c{dom, queue.occupancy() > 0, 0.0, 0.0};
+    if (c.queued) {
+        c.wakeupJoules = energy.eventJoules(
+            energy.config().iqWakeupPerEntry, v,
+            static_cast<double>(queue.occupancy()));
     }
-    energy.addClockCycle(dom, d.voltage(), issued > 0 || !queue.empty());
+    c.clockJoules = energy.clockJoules(dom, v, issued || !queue.empty());
+    return c;
+}
+
+void
+McdProcessor::apply(const ClusterCharge &c)
+{
+    if (c.queued)
+        energy.charge(c.dom, EnergyCategory::IssueQueue, c.wakeupJoules);
+    energy.charge(c.dom, EnergyCategory::Clock, c.clockJoules);
 }
 
 void
@@ -776,20 +833,20 @@ McdProcessor::loadStoreTick()
             complete = now + d.period();
         }
 
-        inst->issued = true;
-        inst->completeTime = complete;
-        completion.complete(inst->seq, complete);
+        completeInst(*inst, complete);
         return true;
     };
-    const unsigned issued = select(2, lsQ, cfg.lsIssueWidth, try_issue);
-
-    if (lsQ.occupancy() > 0) {
-        energy.addEvent(DomainId::LoadStore, EnergyCategory::IssueQueue,
-                        energy.config().iqWakeupPerEntry, d.voltage(),
-                        static_cast<double>(lsQ.occupancy()));
-    }
-    energy.addClockCycle(DomainId::LoadStore, d.voltage(),
-                         issued > 0 || !lsQ.empty());
+    // A load refused for want of an MSHR can issue once the first
+    // outstanding miss completes.
+    const auto mshr_free = [this] {
+        return outstandingMisses.empty()
+                   ? maxTick
+                   : *std::min_element(outstandingMisses.begin(),
+                                       outstandingMisses.end());
+    };
+    const unsigned issued =
+        select(2, lsQ, cfg.lsIssueWidth, try_issue, mshr_free);
+    apply(clusterCharge(DomainId::LoadStore, lsQ, issued > 0));
 }
 
 // ---------------------------------------------------------------- sampler
@@ -802,6 +859,11 @@ McdProcessor::samplerTick()
     const IssueQueue *queues[3] = {&intQ, &fpQ, &lsQ};
     for (std::size_t i = 0; i < 3; ++i) {
         const auto occ = static_cast<double>(queues[i]->occupancy());
+        // A driver mid-ramp applies a new operating point: replay a
+        // parked domain's edges at the old one first.
+        if (drivers[i]->inTransition())
+            catchUp(static_cast<std::size_t>(controlledDomains[i]), now,
+                    samplerSlot);
         drivers[i]->sampleTick(now, occ);
         freqSum[i] += drivers[i]->currentHz();
         queueSum[i] += occ;
@@ -827,6 +889,139 @@ McdProcessor::samplerTick()
     slotTimes[samplerSlot] = now + samplingPeriod;
 }
 
+// ---------------------------------------------------------- parked domains
+
+void
+McdProcessor::catchUp(std::size_t d, Tick t, std::size_t slot)
+{
+    if (!((parkedMask >> d) & 1u))
+        return;
+    // Edges before (t, slot): at t itself only for a lower slot.
+    const Tick end = d < slot ? t + 1 : t;
+    ClockDomain &dom = *domains[d];
+    if (dom.nextEdgeTime() >= end)
+        return;
+    const Tick now = curTick;
+    const auto replay = [&](auto idle) {
+        while (dom.nextEdgeTime() < end) {
+            curTick = dom.nextEdgeTime();
+            ++eventsProcessed;
+            ++replayedEdges;
+            dom.edge(idle);
+        }
+    };
+    if (d == 0) {
+        const FrontEndCharge c =
+            frontEndCharge(reorderBuffer.occupancy(), feParkStall, false);
+        replay([&] {
+#if MCDSIM_DCHECK_IS_ON
+            checkFrontEndIdle(curTick);
+#endif
+            apply(c);
+        });
+    } else {
+        const std::size_t ctl = d - 1;
+        const IssueQueue &q = clusterQueue(ctl);
+        const ClusterCharge c = clusterCharge(controlledDomains[ctl], q, false);
+        replay([&] {
+#if MCDSIM_DCHECK_IS_ON
+            if (!drivers[ctl]->stalled(curTick))
+                checkSkippedSelect(q, c.dom, curTick);
+#endif
+            apply(c);
+        });
+    }
+    curTick = now;
+}
+
+void
+McdProcessor::tryPark(std::size_t d)
+{
+    if (d == numDomains - 1)
+        return; // the fetch domain never parks
+    const Tick next = slotTimes[d];
+    const Tick wake_at =
+        d == 0 ? frontEndParkWake() : clusterParkWake(d - 1, next);
+    // A run of one idle edge costs more to park and replay than to
+    // dispatch.
+    if (wake_at <= next + domains[d]->period())
+        return;
+    parkedMask |= 1u << d;
+    slotTimes[d] = wake_at;
+}
+
+Tick
+McdProcessor::frontEndParkWake()
+{
+    // The 5-domain dispatch reads the fetch buffer, which the fetch
+    // domain fills: that front end runs every edge.
+    if (done || cfg.fiveDomainPartition || feParkStall == FeStall::None)
+        return 0;
+    // The edge that just ran stalled before any I-cache access or
+    // generator call of its own, so the next ones stall the same way
+    // until the cause ends: a completion-table write, or for a fetch
+    // stall its end. They also retire nothing before the head is
+    // visible.
+    Tick wake_at = feParkStall == FeStall::Fetch ? fetchStallUntil : maxTick;
+    if (!reorderBuffer.empty()) {
+        const DynInst &head = *reorderBuffer.head();
+        if (head.completeTime != maxTick)
+            wake_at = std::min(wake_at, head.completeTime + crossPenalty());
+    }
+    return wake_at;
+}
+
+Tick
+McdProcessor::clusterParkWake(std::size_t ctl, Tick next)
+{
+    const SelectMemo &memo = selectMemo[ctl];
+    if (drivers[ctl]->stalled(next) || !memo.holds(next, completion.epoch()))
+        return 0;
+    return memo.wakeTick;
+}
+
+#if MCDSIM_DCHECK_IS_ON
+void
+McdProcessor::checkFrontEndIdle(Tick now) const
+{
+    if (!reorderBuffer.empty()) {
+        const DynInst &head = *reorderBuffer.head();
+        MCDSIM_DCHECK(head.completeTime == maxTick ||
+                          head.completeTime + crossPenalty() > now,
+                      "parked front end skipped a retire at %llu",
+                      static_cast<unsigned long long>(now));
+    }
+    const bool fetch_ok = blockedBranchSeq == 0 && now >= fetchStallUntil &&
+                          havePending &&
+                          pendingInst.pc / cfg.memory.l1i.lineBytes ==
+                              lastFetchLine;
+    bool idle = false;
+    switch (feParkStall) {
+      case FeStall::Branch:
+        idle = blockedBranchSeq != 0 &&
+               completion.readyTime(blockedBranchSeq, DomainId::FrontEnd,
+                                    crossPenalty()) == maxTick;
+        break;
+      case FeStall::Fetch:
+        idle = blockedBranchSeq == 0 && now < fetchStallUntil;
+        break;
+      case FeStall::RobFull:
+        idle = fetch_ok && reorderBuffer.full();
+        break;
+      case FeStall::QueueFull:
+        idle = fetch_ok && !reorderBuffer.full() &&
+               (isFp(pendingInst.cls)    ? fpQ.full()
+                : isMem(pendingInst.cls) ? lsQ.full()
+                                         : intQ.full());
+        break;
+      case FeStall::None: break;
+    }
+    MCDSIM_DCHECK(idle, "parked front end skipped work at %llu (stall %d)",
+                  static_cast<unsigned long long>(now),
+                  static_cast<int>(feParkStall));
+}
+#endif
+
 // ---------------------------------------------------------------- run
 
 void
@@ -843,6 +1038,8 @@ McdProcessor::dispatch(std::size_t slot)
         ClockDomain &dom = *domains[slot];
         dom.edge(work);
         slotTimes[slot] = dom.nextEdgeTime();
+        if (parkingEnabled)
+            tryPark(slot);
     };
     switch (slot) {
       case 0: clock([this] { frontEndTick(); }); break;
@@ -869,7 +1066,15 @@ McdProcessor::run(std::uint64_t max_instructions)
     while (!done) {
         const std::size_t slot = earliestSlot(slotTimes);
         MCDSIM_DCHECK_GE(slotTimes[slot], curTick, "time ran backwards");
+        if ((parkedMask >> slot) & 1u) {
+            // A parked domain's wake tick: replay the edges before it,
+            // then let its real next edge compete again.
+            catchUp(slot, slotTimes[slot], slot);
+            resume(slot);
+            continue;
+        }
         curTick = slotTimes[slot];
+        curSlot = slot;
         ++eventsProcessed;
         dispatch(slot);
         // The fired slot moves strictly past now, which is what makes
@@ -884,6 +1089,7 @@ McdProcessor::run(std::uint64_t max_instructions)
         }
         if (cancellable && (++sinceCancelPoll & 0x3ff) == 0 &&
             cfg.cancelCheck()) {
+            catchUpAll();
             throw SimError("deadline",
                            "run cancelled by deadline at tick " +
                                std::to_string(curTick) + " after " +
@@ -891,6 +1097,9 @@ McdProcessor::run(std::uint64_t max_instructions)
                                " events");
         }
     }
+    // The run ends after the front-end edge that set done: no edge at
+    // or after (curTick, curSlot) ran, parked or not.
+    catchUpAll();
     finalizeEnergy();
     return collectResult();
 }
@@ -945,10 +1154,12 @@ McdProcessor::collectResult()
     }
 
     r.feCycles = feCycles;
-    r.feCyclesFetchStalled = feFetchStalled;
-    r.feCyclesBranchBlocked = feBranchBlocked;
-    r.feCyclesRobFull = feRobFull;
-    r.feCyclesQueueFull = feQueueFull;
+    r.feCyclesFetchStalled = feStalls[static_cast<std::size_t>(FeStall::Fetch)];
+    r.feCyclesBranchBlocked =
+        feStalls[static_cast<std::size_t>(FeStall::Branch)];
+    r.feCyclesRobFull = feStalls[static_cast<std::size_t>(FeStall::RobFull)];
+    r.feCyclesQueueFull =
+        feStalls[static_cast<std::size_t>(FeStall::QueueFull)];
     r.avgRobOccupancy =
         feCycles ? robOccupancySum / static_cast<double>(feCycles) : 0.0;
 

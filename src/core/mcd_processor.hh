@@ -28,6 +28,10 @@
  * The processor is its own scheduler: a fixed next-event table holds
  * each domain's next edge and the sampler's next tick, and run()
  * dispatches the earliest (earliestSlot(), mcd/clock_domain.hh).
+ * A domain whose coming edges can change nothing but its own
+ * accumulators parks: its slot holds a wake tick instead, and its
+ * skipped edges are replayed in its own order just before anything
+ * reads or writes state they depend on (DESIGN.md, "Parked domains").
  *
  * Documented simplifications versus the Rochester simulator: the
  * 72+72 physical register file and the 64-entry LS retire buffer are
@@ -39,6 +43,7 @@
 #define MCDSIM_CORE_MCD_PROCESSOR_HH
 
 #include <array>
+#include <bit>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -80,16 +85,22 @@ class McdProcessor
      */
     SimResult run(std::uint64_t max_instructions = 0);
 
+    /** Clock edges run as parked-domain replays so far. */
+    std::uint64_t replayedEdgeCount() const { return replayedEdges; }
+
   private:
     /**
-     * Issue-select memo of one cluster queue. A full scan that found
-     * no entry both visible and operand-ready records the earliest
-     * tick at which one could become so (the minimum over entries of
-     * the visibility time, or of the known operand-ready time once
-     * visible) and the completion-table epoch it read. While now is
-     * before that tick and the epoch is unchanged, a scan would issue
+     * Issue-select memo of one cluster queue. A full scan left no
+     * entry both visible and operand-ready but those it issued and
+     * loads refused for want of an MSHR. It records the earliest tick
+     * at which one could become so (the minimum over entries of the
+     * visibility time, or of the known operand-ready time once
+     * visible, and over refused loads of the first MSHR release) and
+     * the completion-table epoch after the scan. While now is before
+     * that tick and the epoch is unchanged, a scan would issue
      * nothing, so the edge skips it. Any dispatch or issue advances
-     * the epoch; a scan that found a ready entry records nothing.
+     * the epoch. A scan that stopped at the issue width, or saw a
+     * ready entry refused for a busy unit, records nothing.
      */
     struct SelectMemo
     {
@@ -103,8 +114,83 @@ class McdProcessor
         }
     };
 
+    /** Why a front-end edge dispatched nothing; indexes feStalls. */
+    enum class FeStall : std::uint8_t
+    {
+        Fetch,     ///< I-miss or redirect (fetchStallUntil)
+        Branch,    ///< unresolved mispredicted branch
+        RobFull,
+        QueueFull, ///< the pending instruction's cluster queue
+        None,      ///< counted by no stall counter
+    };
+
     /** Dispatch the event in @p slot, at curTick. */
     void dispatch(std::size_t slot);
+
+    /** @{ Parked domains (DESIGN.md, "Parked domains"). */
+    /** After a real edge of domain @p d: park it if its next edges
+     *  are idle. */
+    void tryPark(std::size_t d);
+    /** Wake tick of the front end's idle run after the edge that
+     *  just ran; 0 when its next edge may do work. */
+    Tick frontEndParkWake();
+    /** Wake tick of cluster @p ctl's idle run from its next edge,
+     *  @p next, on, from its SelectMemo; 0 when that edge may issue. */
+    Tick clusterParkWake(std::size_t ctl, Tick next);
+    /** Replay parked domain @p d's edges before (@p t, @p slot) in
+     *  (tick, slot) order. No-op for a running domain. */
+    void catchUp(std::size_t d, Tick t, std::size_t slot);
+    /** catchUp() every parked domain to the event being dispatched. */
+    void
+    catchUpAll()
+    {
+        for (unsigned m = parkedMask; m != 0; m &= m - 1)
+            catchUp(static_cast<std::size_t>(std::countr_zero(m)), curTick,
+                    curSlot);
+    }
+    /** Put parked domain @p d's real next edge back in its slot. */
+    void
+    resume(std::size_t d)
+    {
+        parkedMask &= ~(1u << d);
+        slotTimes[d] = domains[d]->nextEdgeTime();
+    }
+    /** Catch up and resume every parked domain. */
+    void
+    unparkAll()
+    {
+        for (unsigned m = parkedMask; m != 0; m &= m - 1) {
+            const auto d = static_cast<std::size_t>(std::countr_zero(m));
+            catchUp(d, curTick, curSlot);
+            resume(d);
+        }
+    }
+    /** @} */
+
+    /**
+     * @{ Completion-table writes. Each advances the epoch and may end
+     * any parked domain's idle run (a memo, a blocking branch, the ROB
+     * head, a full queue), so every parked domain is caught up and
+     * resumed first. That also covers the queue insert, its clock's
+     * `sync.visibleAt` read and the issue-queue energy that follow a
+     * beginInst().
+     */
+    void
+    beginInst(InstSeqNum seq, DomainId domain)
+    {
+        unparkAll();
+        completion.beginInst(seq, domain);
+    }
+
+    void
+    completeInst(DynInst &inst, Tick when)
+    {
+        unparkAll();
+        inst.issued = true;
+        inst.completeTime = when;
+        completion.complete(inst.seq, when);
+    }
+    /** @} */
 
     /** @{ Per-domain edge work. */
     void frontEndTick();
@@ -119,26 +205,61 @@ class McdProcessor
     /** @} */
 
     /**
+     * @{ The accounting every edge of a domain kind does, idle or not.
+     * A real tick ends by building its charge and applying it once; a
+     * replayed edge is only the charge. A catch-up builds it once and
+     * applies it per edge: nothing it reads can change while the
+     * domain is parked.
+     */
+    struct FrontEndCharge
+    {
+        double robOccupancy; ///< at the edge's start
+        FeStall stall;
+        double clockJoules;
+    };
+    struct ClusterCharge
+    {
+        DomainId dom;
+        bool queued; ///< entries waiting: wake-up energy
+        double wakeupJoules;
+        double clockJoules;
+    };
+    FrontEndCharge frontEndCharge(std::size_t rob_occupancy, FeStall stall,
+                                  bool active);
+    ClusterCharge clusterCharge(DomainId dom, const IssueQueue &queue,
+                                bool issued);
+    void apply(const FrontEndCharge &c);
+    void apply(const ClusterCharge &c);
+    /** @} */
+
+    /**
      * Oldest-first issue select over @p queue of controlled domain
      * @p ctl, through its SelectMemo. @p try_issue is offered each
      * visible, operand-ready entry, up to @p width issues; it issues
      * the entry and returns true, or returns false when a unit or an
-     * MSHR is busy. Issued entries leave the queue. Returns the
-     * number issued.
+     * MSHR is busy. @p retry_at() then names the earliest tick a
+     * refused entry could issue; at or before now it proves nothing
+     * and the scan records no memo. Issued entries leave the queue.
+     * Returns the number issued.
      */
-    template <typename TryIssue>
+    template <typename TryIssue, typename RetryAt>
     unsigned select(std::size_t ctl, IssueQueue &queue, unsigned width,
-                    TryIssue &&try_issue);
+                    TryIssue &&try_issue, RetryAt &&retry_at);
 
 #if MCDSIM_DCHECK_IS_ON
-    /** Reference scan on a memo-skipped edge: nothing may be ready. */
+    /**
+     * Reference scan on a memo-skipped or replayed edge: nothing may
+     * be ready but, in the LS queue, loads facing full MSHRs.
+     */
     void checkSkippedSelect(const IssueQueue &queue, DomainId dom,
                             Tick now) const;
+    /** A replayed front-end edge at @p now would do no work. */
+    void checkFrontEndIdle(Tick now) const;
 #endif
 
     void retireStage(Tick now, unsigned &retired_this_cycle);
-    void dispatchStage(Tick now, unsigned &dispatched_this_cycle);
-    void dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle);
+    FeStall dispatchStage(Tick now, unsigned &dispatched_this_cycle);
+    FeStall dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle);
     bool handleBranchAtDispatch(DynInst *inst);
 
     /**
@@ -195,6 +316,12 @@ class McdProcessor
     }
 
     IssueQueue &queueFor(InstClass cls);
+    /** Queue of controlled domain @p ctl (0 = INT, 1 = FP, 2 = LS). */
+    const IssueQueue &
+    clusterQueue(std::size_t ctl) const
+    {
+        return ctl == 0 ? intQ : ctl == 1 ? fpQ : lsQ;
+    }
     DomainId domainFor(InstClass cls) const;
     Tick crossPenalty() const { return cfg.mcdEnabled ? cfg.syncWindow : 0; }
     void finalizeEnergy();
@@ -212,8 +339,26 @@ class McdProcessor
     /** Next edge per domain, then the sampler's next tick. */
     SlotTimes slotTimes{};
 
-    /** Events dispatched so far (edges plus sampler ticks). */
+    /** Events dispatched so far (edges plus sampler ticks), replayed
+     *  edges included. */
     std::uint64_t eventsProcessed = 0;
+
+    /** The slot being dispatched; catch-ups replay up to
+     *  (curTick, curSlot). */
+    std::size_t curSlot = 0;
+
+    /** Domains may park: nothing observes the per-event order. */
+    bool parkingEnabled = false;
+
+    /** Bit d set while domain d is parked: slotTimes[d] then holds its
+     *  wake tick and its real next edge is nextEdgeTime(). */
+    unsigned parkedMask = 0;
+
+    /** The stall the front end's last real edge counted; while it is
+     *  parked, the stall every replayed edge counts. */
+    FeStall feParkStall = FeStall::None;
+
+    std::uint64_t replayedEdges = 0;
 
     // Clock domains (order matches DomainId).
     std::vector<std::unique_ptr<ClockDomain>> domains;
@@ -268,10 +413,7 @@ class McdProcessor
 
     // Front-end stall accounting.
     std::uint64_t feCycles = 0;
-    std::uint64_t feFetchStalled = 0;
-    std::uint64_t feBranchBlocked = 0;
-    std::uint64_t feRobFull = 0;
-    std::uint64_t feQueueFull = 0;
+    std::array<std::uint64_t, 4> feStalls{}; ///< by FeStall
     double robOccupancySum = 0.0;
 
     // Sampled accumulators for the result.

@@ -192,7 +192,8 @@ struct SimConfig
      * "event-budget" once the processor has dispatched this many
      * clock edges and sampler ticks. 0 disables. Purely a function of
      * the simulation, so it trips identically on every host and --jobs
-     * setting.
+     * setting. A nonzero budget also turns off idle-domain parking,
+     * so the trip tick is that of the per-edge dispatch order.
      */
     std::uint64_t eventBudget = 0;
 

@@ -105,18 +105,40 @@ class EnergyModel
     addEvent(DomainId dom, EnergyCategory cat, double base, Volt v,
              double count = 1.0)
     {
-        const double scale = (v / cfg.vNominal) * (v / cfg.vNominal);
-        joules(dom, cat) += base * scale * count;
+        charge(dom, cat, eventJoules(base, v, count));
     }
 
     /** Clock-tree energy for one domain cycle. */
     void
     addClockCycle(DomainId dom, Volt v, bool active)
     {
+        charge(dom, EnergyCategory::Clock, clockJoules(dom, v, active));
+    }
+
+    /** @{ What addEvent() and addClockCycle() add, for a caller that
+     *  charges the same amount many times. */
+    double
+    eventJoules(double base, Volt v, double count = 1.0) const
+    {
+        const double scale = (v / cfg.vNominal) * (v / cfg.vNominal);
+        return base * scale * count;
+    }
+
+    double
+    clockJoules(DomainId dom, Volt v, bool active) const
+    {
         const double base =
             cfg.clockPerCycle[static_cast<std::size_t>(dom)] *
             (active ? 1.0 : cfg.gatedClockFraction);
-        addEvent(dom, EnergyCategory::Clock, base, v);
+        return eventJoules(base, v);
+    }
+    /** @} */
+
+    /** Add @p j joules to (@p dom, @p cat). */
+    void
+    charge(DomainId dom, EnergyCategory cat, double j)
+    {
+        joules(dom, cat) += j;
     }
 
     /** Leakage from an integral of V^2 over wall time (V^2 * s). */
