@@ -3,11 +3,13 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <utility>
 
 #include "common/check.hh"
 #include "common/error.hh"
 #include "common/parse.hh"
+#include "common/record.hh"
 
 namespace mcd
 {
@@ -37,38 +39,6 @@ statusFromName(const std::string &name)
     mergeFail("unknown run status '" + name + "'");
 }
 
-std::string
-escapeText(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '\n')
-            out += "\\n";
-        else
-            out.push_back(c);
-    }
-    return out;
-}
-
-std::string
-unescapeText(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        if (text[i] == '\\' && i + 1 < text.size()) {
-            ++i;
-            out.push_back(text[i] == 'n' ? '\n' : text[i]);
-        } else {
-            out.push_back(text[i]);
-        }
-    }
-    return out;
-}
-
 /** One parsed manifest line (everything merge needs per run). */
 struct ManifestRow
 {
@@ -93,71 +63,52 @@ readManifest(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         mergeFail("cannot read manifest '" + path + "'");
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string text = std::move(bytes).str();
 
-    auto expect = [&](const char *prefix) {
-        std::string line;
-        if (!std::getline(in, line) ||
-            line.rfind(prefix, 0) != 0)
-            mergeFail("manifest '" + path + "': expected '" +
-                      prefix + "' line");
-        return line.substr(std::string(prefix).size());
-    };
-
-    auto number = [](const std::string &v, std::uint64_t max) {
-        return parseUint(v, "campaign-merge", max);
-    };
     constexpr std::uint64_t kSizeMax =
         std::numeric_limits<std::size_t>::max();
     constexpr std::uint64_t kU32Max =
         std::numeric_limits<std::uint32_t>::max();
 
-    if (expect(kManifestTag) != "")
-        mergeFail("manifest '" + path + "': bad tag line");
-    const std::uint64_t schema = number(expect("schema="), kU32Max);
+    RecordReader r(text, "campaign-merge", "manifest '" + path + "'");
+    r.expectLine(kManifestTag);
+    const std::uint64_t schema = r.u64("schema", kU32Max);
     if (schema != kRunSpecSchemaVersion)
-        mergeFail("manifest '" + path + "': schema " +
-                  std::to_string(schema) + " != current " +
-                  std::to_string(kRunSpecSchemaVersion));
+        r.fail("schema " + std::to_string(schema) + " != current " +
+               std::to_string(kRunSpecSchemaVersion));
 
     Manifest m;
-    m.total = static_cast<std::size_t>(number(expect("total="), kSizeMax));
-    m.shard = parseShard(expect("shard="));
-    const std::uint64_t runs = number(expect("runs="), kSizeMax);
+    m.total = static_cast<std::size_t>(r.u64("total", kSizeMax));
+    const std::string_view shard = r.value("shard");
+    try {
+        m.shard = parseShard(std::string(shard));
+    } catch (const ConfigError &e) {
+        r.fail(e.context());
+    }
+    const std::uint64_t runs = r.u64("runs", kSizeMax);
 
     for (std::uint64_t i = 0; i < runs; ++i) {
-        std::string line;
-        if (!std::getline(in, line) || line.rfind("run=", 0) != 0)
-            mergeFail("manifest '" + path + "': short run list");
-        // run=<idx> <digest> <status> <attempts> <fromCache> <error>
-        std::vector<std::string> tok;
-        std::size_t start = 4;
-        for (int field = 0; field < 4; ++field) {
-            const auto sp = line.find(' ', start);
-            if (sp == std::string::npos)
-                mergeFail("manifest '" + path + "': bad run line '" +
-                          line + "'");
-            tok.push_back(line.substr(start, sp - start));
-            start = sp + 1;
-        }
-        const auto sp = line.find(' ', start);
+        // run=<idx> <digest> <status> <attempts> <fromCache>[ <error>]
+        const auto tok = r.fields(r.value("run"), 6);
+        if (tok.size() < 5)
+            r.fail("run line " + std::to_string(i) +
+                   " has fewer than 5 fields");
         ManifestRow row;
-        row.index = static_cast<std::size_t>(number(tok[0], kSizeMax));
-        row.digest = tok[1];
-        row.status = statusFromName(tok[2]);
-        row.attempts = static_cast<std::uint32_t>(number(tok[3], kU32Max));
-        if (sp == std::string::npos) {
-            row.fromCache = number(line.substr(start), 1) != 0;
-        } else {
-            row.fromCache =
-                number(line.substr(start, sp - start), 1) != 0;
-            row.error = unescapeText(line.substr(sp + 1));
-        }
+        row.index =
+            static_cast<std::size_t>(r.parseU64(tok[0], "run", kSizeMax));
+        row.digest = r.parseText(tok[1], "run");
+        row.status = statusFromName(r.parseText(tok[2], "run"));
+        row.attempts =
+            static_cast<std::uint32_t>(r.parseU64(tok[3], "run", kU32Max));
+        row.fromCache = r.parseU64(tok[4], "run", 1) != 0;
+        if (tok.size() == 6)
+            row.error = r.parseText(tok[5], "run");
         m.rows.push_back(std::move(row));
     }
-
-    std::string line;
-    if (!std::getline(in, line) || line != "end")
-        mergeFail("manifest '" + path + "': missing end marker");
+    r.expectLine("end");
+    r.expectEnd();
     return m;
 }
 
@@ -311,21 +262,26 @@ writeManifest(const CampaignResult &result, const std::string &path)
     if (!out)
         throw ConfigError("campaign-manifest",
                           "cannot write '" + path + "'");
-    out << kManifestTag << '\n';
-    out << "schema=" << kRunSpecSchemaVersion << '\n';
-    out << "total=" << result.total << '\n';
-    out << "shard=" << result.shard.index << '/' << result.shard.count
-        << '\n';
-    out << "runs=" << result.runs.size() << '\n';
+    RecordWriter w;
+    w.line(kManifestTag);
+    w.u64("schema", kRunSpecSchemaVersion);
+    w.u64("total", result.total);
+    w.text("shard", std::to_string(result.shard.index) + "/" +
+                        std::to_string(result.shard.count));
+    w.u64("runs", result.runs.size());
     for (const CampaignRun &cr : result.runs) {
-        out << "run=" << cr.index << ' ' << cr.digest << ' '
-            << runStatusName(cr.outcome.status) << ' '
-            << cr.outcome.attempts << ' ' << (cr.fromCache ? 1 : 0);
+        w.begin("run");
+        w.fieldU64(cr.index);
+        w.fieldText(cr.digest);
+        w.fieldText(runStatusName(cr.outcome.status));
+        w.fieldU64(cr.outcome.attempts);
+        w.fieldU64(cr.fromCache ? 1 : 0);
         if (!cr.outcome.error.empty())
-            out << ' ' << escapeText(cr.outcome.error);
-        out << '\n';
+            w.fieldText(cr.outcome.error);
+        w.end();
     }
-    out << "end\n";
+    w.line("end");
+    out << w.take();
     if (!out.good())
         throw ConfigError("campaign-manifest",
                           "write failed for '" + path + "'");

@@ -1,13 +1,9 @@
 #include "campaign/result_io.hh"
 
-#include <bit>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "common/error.hh"
+#include "common/record.hh"
 
 namespace mcd
 {
@@ -15,263 +11,73 @@ namespace mcd
 namespace
 {
 
-// ---- Writing ----------------------------------------------------------
-
-class ResultWriter
-{
-  public:
-    void
-    kv(const std::string &key, std::uint64_t value)
-    {
-        out += key;
-        out += '=';
-        out += dec(value);
-        out += '\n';
-    }
-
-    void
-    kvF(const std::string &key, double value)
-    {
-        out += key;
-        out += '=';
-        out += hexF(value);
-        out += '\n';
-    }
-
-    /** `key*<len>` header, then the raw bytes, then a newline. */
-    void
-    blob(const std::string &key, const std::string &value)
-    {
-        out += key;
-        out += '*';
-        out += dec(value.size());
-        out += '\n';
-        out += value;
-        out += '\n';
-    }
-
-    void
-    raw(const std::string &text)
-    {
-        out += text;
-        out += '\n';
-    }
-
-    static std::string
-    dec(std::uint64_t value)
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-        return buf;
-    }
-
-    static std::string
-    hexF(double value)
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "f64:%016" PRIx64,
-                      std::bit_cast<std::uint64_t>(value));
-        return buf;
-    }
-
-    std::string take() { return std::move(out); }
-
-  private:
-    std::string out;
-};
-
 void
-writeSummary(ResultWriter &w, const std::string &key,
+writeSummary(RecordWriter &w, const std::string &key,
              const SummaryStats &s)
 {
-    std::string v = ResultWriter::dec(s.count());
-    v += ' ';
-    v += ResultWriter::hexF(s.mean());
-    v += ' ';
-    v += ResultWriter::hexF(s.m2State());
-    v += ' ';
-    v += ResultWriter::hexF(s.sum());
-    v += ' ';
-    v += ResultWriter::hexF(s.rawMin());
-    v += ' ';
-    v += ResultWriter::hexF(s.rawMax());
-    w.raw(key + "=" + v);
+    w.begin(key);
+    w.fieldU64(s.count());
+    w.fieldF64(s.mean());
+    w.fieldF64(s.m2State());
+    w.fieldF64(s.sum());
+    w.fieldF64(s.rawMin());
+    w.fieldF64(s.rawMax());
+    w.end();
 }
 
 void
-writeSeries(ResultWriter &w, const std::string &key, const TimeSeries &t)
+writeSeries(RecordWriter &w, const std::string &key, const TimeSeries &t)
 {
     w.blob(key + ".name", t.name());
-    w.kv(key + ".stride", t.strideState());
-    w.kv(key + ".counter", t.counterState());
-    w.kv(key + ".points", t.size());
+    w.u64(key + ".stride", t.strideState());
+    w.u64(key + ".counter", t.counterState());
+    w.u64(key + ".points", t.size());
 
-    std::string ticks;
-    std::string values;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (i) {
-            ticks += ' ';
-            values += ' ';
-        }
-        ticks += ResultWriter::dec(t.tickAt(i));
-        values += ResultWriter::hexF(t.valueAt(i));
-    }
-    w.raw(key + ".ticks=" + ticks);
-    w.raw(key + ".values=" + values);
+    w.begin(key + ".ticks");
+    for (std::size_t i = 0; i < t.size(); ++i)
+        w.fieldU64(t.tickAt(i));
+    w.end();
+    w.begin(key + ".values");
+    for (std::size_t i = 0; i < t.size(); ++i)
+        w.fieldF64(t.valueAt(i));
+    w.end();
     writeSummary(w, key + ".summary", t.summary());
 }
 
-// ---- Reading ----------------------------------------------------------
-
-[[noreturn]] void
-malformed(const std::string &what)
-{
-    throw ConfigError("result-io", "malformed result entry: " + what);
-}
-
-class ResultReader
-{
-  public:
-    explicit ResultReader(const std::string &t) : text(t) {}
-
-    std::string
-    line()
-    {
-        const auto nl = text.find('\n', pos);
-        if (nl == std::string::npos)
-            malformed("unexpected end of input");
-        std::string l = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        return l;
-    }
-
-    /** The value of a `key=value` line, checking the key. */
-    std::string
-    value(const std::string &key)
-    {
-        const std::string l = line();
-        const std::string prefix = key + "=";
-        if (l.rfind(prefix, 0) != 0)
-            malformed("expected key '" + key + "', got '" + l + "'");
-        return l.substr(prefix.size());
-    }
-
-    std::uint64_t
-    u64(const std::string &key)
-    {
-        return parseU64(value(key), key);
-    }
-
-    double
-    f64(const std::string &key)
-    {
-        return parseF64(value(key), key);
-    }
-
-    std::string
-    blob(const std::string &key)
-    {
-        const std::string l = line();
-        const std::string prefix = key + "*";
-        if (l.rfind(prefix, 0) != 0)
-            malformed("expected blob '" + key + "', got '" + l + "'");
-        const std::uint64_t len =
-            parseU64(l.substr(prefix.size()), key + " length");
-        if (pos + len + 1 > text.size())
-            malformed("blob '" + key + "' overruns input");
-        std::string v = text.substr(pos, len);
-        pos += len;
-        if (text[pos] != '\n')
-            malformed("blob '" + key + "' missing terminator");
-        ++pos;
-        return v;
-    }
-
-    bool atEnd() const { return pos == text.size(); }
-
-    static std::uint64_t
-    parseU64(const std::string &v, const std::string &key)
-    {
-        if (v.empty() || v[0] == '-')
-            malformed("bad integer for '" + key + "': '" + v + "'");
-        char *end = nullptr;
-        const std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-        if (end != v.c_str() + v.size())
-            malformed("bad integer for '" + key + "': '" + v + "'");
-        return n;
-    }
-
-    static double
-    parseF64(const std::string &v, const std::string &key)
-    {
-        if (v.size() != 20 || v.rfind("f64:", 0) != 0)
-            malformed("bad f64 for '" + key + "': '" + v + "'");
-        char *end = nullptr;
-        const std::uint64_t bits =
-            std::strtoull(v.c_str() + 4, &end, 16);
-        if (end != v.c_str() + v.size())
-            malformed("bad f64 for '" + key + "': '" + v + "'");
-        return std::bit_cast<double>(bits);
-    }
-
-  private:
-    const std::string &text;
-    std::size_t pos = 0;
-};
-
-/** Split a space-separated line into tokens; empty line → none. */
-std::vector<std::string>
-splitTokens(const std::string &v)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start < v.size()) {
-        auto sp = v.find(' ', start);
-        if (sp == std::string::npos)
-            sp = v.size();
-        out.push_back(v.substr(start, sp - start));
-        start = sp + 1;
-    }
-    return out;
-}
-
 SummaryStats
-readSummary(ResultReader &r, const std::string &key)
+readSummary(RecordReader &r, const std::string &key)
 {
-    const auto tok = splitTokens(r.value(key));
+    const auto tok = r.fields(r.value(key));
     if (tok.size() != 6)
-        malformed("summary '" + key + "' needs 6 fields");
+        r.fail("summary '" + key + "' needs 6 fields");
     return SummaryStats::restore(
-        ResultReader::parseU64(tok[0], key),
-        ResultReader::parseF64(tok[1], key),
-        ResultReader::parseF64(tok[2], key),
-        ResultReader::parseF64(tok[3], key),
-        ResultReader::parseF64(tok[4], key),
-        ResultReader::parseF64(tok[5], key));
+        r.parseU64(tok[0], key), r.parseF64(tok[1], key),
+        r.parseF64(tok[2], key), r.parseF64(tok[3], key),
+        r.parseF64(tok[4], key), r.parseF64(tok[5], key));
 }
 
 TimeSeries
-readSeries(ResultReader &r, const std::string &key)
+readSeries(RecordReader &r, const std::string &key)
 {
-    std::string name = r.blob(key + ".name");
+    std::string name(r.blob(key + ".name"));
     const auto stride =
         static_cast<std::size_t>(r.u64(key + ".stride"));
     const auto counter =
         static_cast<std::size_t>(r.u64(key + ".counter"));
     const auto points = r.u64(key + ".points");
 
-    const auto tickTok = splitTokens(r.value(key + ".ticks"));
-    const auto valueTok = splitTokens(r.value(key + ".values"));
+    const auto tickTok = r.fields(r.value(key + ".ticks"));
+    const auto valueTok = r.fields(r.value(key + ".values"));
     if (tickTok.size() != points || valueTok.size() != points)
-        malformed("series '" + key + "' point count mismatch");
+        r.fail("series '" + key + "' point count mismatch");
 
     std::vector<Tick> ticks;
     std::vector<double> values;
     ticks.reserve(points);
     values.reserve(points);
     for (std::uint64_t i = 0; i < points; ++i) {
-        ticks.push_back(ResultReader::parseU64(tickTok[i], key));
-        values.push_back(ResultReader::parseF64(valueTok[i], key));
+        ticks.push_back(r.parseU64(tickTok[i], key));
+        values.push_back(r.parseF64(valueTok[i], key));
     }
     const SummaryStats summary = readSummary(r, key + ".summary");
     return TimeSeries::restore(std::move(name), stride, counter,
@@ -302,45 +108,45 @@ seriesField(SimResult &r, std::size_t i)
 std::string
 serializeResult(const SimResult &r)
 {
-    ResultWriter w;
-    w.raw(kResultFormatTag);
+    RecordWriter w;
+    w.line(kResultFormatTag);
     w.blob("benchmark", r.benchmark);
     w.blob("controller", r.controller);
-    w.kv("instructions", r.instructions);
-    w.kv("wall_ticks", r.wallTicks);
-    w.kv("events_processed", r.eventsProcessed);
-    w.kvF("energy", r.energy);
+    w.u64("instructions", r.instructions);
+    w.u64("wall_ticks", r.wallTicks);
+    w.u64("events_processed", r.eventsProcessed);
+    w.f64("energy", r.energy);
 
     for (std::size_t i = 0; i < r.domains.size(); ++i) {
         const DomainResult &d = r.domains[i];
-        const std::string k = "domain." + ResultWriter::dec(i);
-        w.kvF(k + ".avg_frequency", d.avgFrequency);
-        w.kvF(k + ".avg_queue_occupancy", d.avgQueueOccupancy);
-        w.kv(k + ".transitions", d.transitions);
-        w.kv(k + ".actions_up", d.controllerStats.actionsUp);
-        w.kv(k + ".actions_down", d.controllerStats.actionsDown);
-        w.kv(k + ".cancellations", d.controllerStats.cancellations);
-        w.kv(k + ".samples", d.controllerStats.samples);
-        w.kvF(k + ".energy", d.energy);
+        const std::string k = "domain." + std::to_string(i);
+        w.f64(k + ".avg_frequency", d.avgFrequency);
+        w.f64(k + ".avg_queue_occupancy", d.avgQueueOccupancy);
+        w.u64(k + ".transitions", d.transitions);
+        w.u64(k + ".actions_up", d.controllerStats.actionsUp);
+        w.u64(k + ".actions_down", d.controllerStats.actionsDown);
+        w.u64(k + ".cancellations", d.controllerStats.cancellations);
+        w.u64(k + ".samples", d.controllerStats.samples);
+        w.f64(k + ".energy", d.energy);
     }
 
     for (std::size_t d = 0; d < numDomains; ++d)
         for (std::size_t c = 0; c < numEnergyCategories; ++c)
-            w.kvF("energy_breakdown." + ResultWriter::dec(d) + "." +
-                      ResultWriter::dec(c),
+            w.f64("energy_breakdown." + std::to_string(d) + "." +
+                      std::to_string(c),
                   r.energyBreakdown[d][c]);
 
-    w.kvF("branch_direction_accuracy", r.branchDirectionAccuracy);
-    w.kvF("l1d_miss_rate", r.l1dMissRate);
-    w.kvF("l2_miss_rate", r.l2MissRate);
-    w.kv("sync_crossings", r.syncCrossings);
-    w.kv("sync_penalties", r.syncPenalties);
-    w.kv("fe_cycles", r.feCycles);
-    w.kv("fe_cycles_fetch_stalled", r.feCyclesFetchStalled);
-    w.kv("fe_cycles_branch_blocked", r.feCyclesBranchBlocked);
-    w.kv("fe_cycles_rob_full", r.feCyclesRobFull);
-    w.kv("fe_cycles_queue_full", r.feCyclesQueueFull);
-    w.kvF("avg_rob_occupancy", r.avgRobOccupancy);
+    w.f64("branch_direction_accuracy", r.branchDirectionAccuracy);
+    w.f64("l1d_miss_rate", r.l1dMissRate);
+    w.f64("l2_miss_rate", r.l2MissRate);
+    w.u64("sync_crossings", r.syncCrossings);
+    w.u64("sync_penalties", r.syncPenalties);
+    w.u64("fe_cycles", r.feCycles);
+    w.u64("fe_cycles_fetch_stalled", r.feCyclesFetchStalled);
+    w.u64("fe_cycles_branch_blocked", r.feCyclesBranchBlocked);
+    w.u64("fe_cycles_rob_full", r.feCyclesRobFull);
+    w.u64("fe_cycles_queue_full", r.feCyclesQueueFull);
+    w.f64("avg_rob_occupancy", r.avgRobOccupancy);
 
     w.blob("stats_text", r.statsText);
     w.blob("stats_json", r.statsJson);
@@ -352,16 +158,15 @@ serializeResult(const SimResult &r)
     for (std::size_t i = 0; i < 6; ++i)
         writeSeries(w, seriesKey(i), *series[i]);
 
-    w.raw("end");
+    w.line("end");
     return w.take();
 }
 
 SimResult
 deserializeResult(const std::string &text)
 {
-    ResultReader r(text);
-    if (r.line() != kResultFormatTag)
-        malformed("missing format tag");
+    RecordReader r(text, "result-io", "malformed result entry");
+    r.expectLine(kResultFormatTag);
 
     SimResult out;
     out.benchmark = r.blob("benchmark");
@@ -373,7 +178,7 @@ deserializeResult(const std::string &text)
 
     for (std::size_t i = 0; i < out.domains.size(); ++i) {
         DomainResult &d = out.domains[i];
-        const std::string k = "domain." + ResultWriter::dec(i);
+        const std::string k = "domain." + std::to_string(i);
         d.avgFrequency = r.f64(k + ".avg_frequency");
         d.avgQueueOccupancy = r.f64(k + ".avg_queue_occupancy");
         d.transitions = r.u64(k + ".transitions");
@@ -387,8 +192,8 @@ deserializeResult(const std::string &text)
     for (std::size_t d = 0; d < numDomains; ++d)
         for (std::size_t c = 0; c < numEnergyCategories; ++c)
             out.energyBreakdown[d][c] =
-                r.f64("energy_breakdown." + ResultWriter::dec(d) + "." +
-                      ResultWriter::dec(c));
+                r.f64("energy_breakdown." + std::to_string(d) + "." +
+                      std::to_string(c));
 
     out.branchDirectionAccuracy = r.f64("branch_direction_accuracy");
     out.l1dMissRate = r.f64("l1d_miss_rate");
@@ -409,10 +214,8 @@ deserializeResult(const std::string &text)
     for (std::size_t i = 0; i < 6; ++i)
         seriesField(out, i) = readSeries(r, seriesKey(i));
 
-    if (r.line() != "end")
-        malformed("missing end marker");
-    if (!r.atEnd())
-        malformed("trailing bytes after end marker");
+    r.expectLine("end");
+    r.expectEnd();
     return out;
 }
 

@@ -5,16 +5,17 @@
  * A cached run must be indistinguishable from a fresh one: every
  * artifact a harness derives from a SimResult (CSV rows, JSON
  * reports, stats dumps, trace tables) has to come out byte-identical
- * whether the result was computed or loaded. The format therefore
- * stores doubles as the hex of their IEEE-754 bit pattern and strings
- * as length-prefixed raw blobs — no float formatting, no escaping, no
- * locale anywhere in the round trip.
+ * whether the result was computed or loaded. The entry is a record
+ * (common/record.hh): doubles as the hex of their IEEE-754 bit
+ * pattern, strings as length-prefixed raw blobs — no float
+ * formatting, no escaping, no locale anywhere in the round trip.
  *
- * The format is line-oriented and strictly ordered: a fixed sequence
- * of `key=value` lines plus `key*<len>` blob headers followed by
- * exactly <len> raw bytes. The leading tag line ("mcdsim-result-v1")
- * versions the layout; readers reject anything else, which turns a
- * format change into a clean cache miss rather than a misparse.
+ * The layout is strictly ordered: the tag line ("mcdsim-result-v1"),
+ * a fixed sequence of `key=value` lines and `key*<len>` blobs, and an
+ * "end" line. The tag versions the layout; the strict RecordReader
+ * rejects anything else — another tag, a non-canonical number, a
+ * missing or extra byte — which turns a format change or a corrupt
+ * file into a clean cache miss rather than a misparse.
  */
 
 #ifndef MCDSIM_CAMPAIGN_RESULT_IO_HH

@@ -11,7 +11,7 @@
 #include "campaign/result_io.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "common/parse.hh"
+#include "common/record.hh"
 
 namespace fs = std::filesystem;
 
@@ -44,103 +44,53 @@ slurp(const fs::path &path)
     return std::move(ss).str();
 }
 
+/** The entry file of the spec whose digest is @p digest. */
+fs::path
+entryFile(const std::string &dir, const std::string &digest)
+{
+    return fs::path(dir) / schemaDirName() / digest.substr(0, 2) /
+           (digest + ".run");
+}
+
 /**
  * Entry envelope: tag line, digest line, then spec and result as
- * length-prefixed blobs. parse() returns false on any malformation —
- * the caller treats that as a stale entry, never an error.
+ * length-prefixed blobs.
  */
-struct Envelope
+std::string
+renderEnvelope(const std::string &digest, const std::string &spec,
+               const std::string &result)
 {
-    std::string digest;
-    std::string spec;
-    std::string result;
+    RecordWriter w;
+    w.line(kEntryTag);
+    w.text("digest", digest);
+    w.blob("spec", spec);
+    w.blob("result", result);
+    w.line("end");
+    return w.take();
+}
 
-    std::string
-    render() const
-    {
-        std::string out;
-        out += kEntryTag;
-        out += "\ndigest=";
-        out += digest;
-        out += '\n';
-        appendBlob(out, "spec", spec);
-        appendBlob(out, "result", result);
-        out += "end\n";
-        return out;
+/**
+ * The result blob of @p text when it is a well-formed envelope for
+ * @p digest and @p spec; nullopt on any mismatch, which the caller
+ * counts as a stale entry, never an error.
+ */
+std::optional<std::string_view>
+envelopeResult(const std::string &text, const std::string &digest,
+               const std::string &spec)
+{
+    try {
+        RecordReader r(text, "cache-entry", "malformed cache entry");
+        r.expectLine(kEntryTag);
+        if (r.text("digest") != digest || r.blob("spec") != spec)
+            return std::nullopt;
+        const std::string_view result = r.blob("result");
+        r.expectLine("end");
+        r.expectEnd();
+        return result;
+    } catch (const ConfigError &) {
+        return std::nullopt;
     }
-
-    bool
-    parse(const std::string &text)
-    {
-        std::size_t pos = 0;
-        if (!takeLine(text, pos, std::string(kEntryTag)))
-            return false;
-        std::string digestLine;
-        if (!nextLine(text, pos, digestLine) ||
-            digestLine.rfind("digest=", 0) != 0)
-            return false;
-        digest = digestLine.substr(7);
-        return takeBlob(text, pos, "spec", spec) &&
-               takeBlob(text, pos, "result", result) &&
-               takeLine(text, pos, "end") && pos == text.size();
-    }
-
-  private:
-    static void
-    appendBlob(std::string &out, const char *key,
-               const std::string &value)
-    {
-        out += key;
-        out += '*';
-        out += std::to_string(value.size());
-        out += '\n';
-        out += value;
-        out += '\n';
-    }
-
-    static bool
-    nextLine(const std::string &text, std::size_t &pos, std::string &out)
-    {
-        const auto nl = text.find('\n', pos);
-        if (nl == std::string::npos)
-            return false;
-        out = text.substr(pos, nl - pos);
-        pos = nl + 1;
-        return true;
-    }
-
-    static bool
-    takeLine(const std::string &text, std::size_t &pos,
-             const std::string &expected)
-    {
-        std::string l;
-        return nextLine(text, pos, l) && l == expected;
-    }
-
-    static bool
-    takeBlob(const std::string &text, std::size_t &pos, const char *key,
-             std::string &out)
-    {
-        std::string header;
-        if (!nextLine(text, pos, header))
-            return false;
-        const std::string prefix = std::string(key) + "*";
-        if (header.rfind(prefix, 0) != 0)
-            return false;
-        std::uint64_t len = 0;
-        try {
-            len = parseUint(std::string_view(header).substr(prefix.size()),
-                            "cache-entry", text.size() - pos);
-        } catch (const ConfigError &) {
-            return false;
-        }
-        if (pos + len + 1 > text.size() || text[pos + len] != '\n')
-            return false;
-        out = text.substr(pos, len);
-        pos += len + 1;
-        return true;
-    }
-};
+}
 
 /** One entry file on disk, for eviction ordering and accounting. */
 struct EntryFile
@@ -236,10 +186,7 @@ RunCache::writable() const
 std::string
 RunCache::entryPath(const RunSpec &spec) const
 {
-    const std::string digest = specDigest(spec);
-    fs::path p = fs::path(conf.dir) / schemaDirName() /
-                 digest.substr(0, 2) / (digest + ".run");
-    return p.string();
+    return entryFile(conf.dir, specDigest(spec)).string();
 }
 
 std::optional<SimResult>
@@ -253,8 +200,7 @@ RunCache::lookup(const RunSpec &spec)
     }
 
     const std::string digest = specDigest(spec);
-    const fs::path path = fs::path(conf.dir) / schemaDirName() /
-                          digest.substr(0, 2) / (digest + ".run");
+    const fs::path path = entryFile(conf.dir, digest);
     std::error_code ec;
     if (!fs::exists(path, ec) || ec) {
         ++counters.misses;
@@ -271,14 +217,13 @@ RunCache::lookup(const RunSpec &spec)
 
     // Verify the envelope end to end: digest and full canonical text
     // must both match before a byte of the result is trusted.
-    Envelope env;
-    if (!env.parse(*text) || env.digest != digest ||
-        env.spec != canonicalText(spec)) {
+    const auto result = envelopeResult(*text, digest, canonicalText(spec));
+    if (!result) {
         ++counters.stale;
         return std::nullopt;
     }
     try {
-        SimResult r = deserializeResult(env.result);
+        SimResult r = deserializeResult(std::string(*result));
         ++counters.hits;
         return r;
     } catch (const ConfigError &) {
@@ -293,14 +238,8 @@ RunCache::store(const RunSpec &spec, const SimResult &result)
     if (!writable() || !cacheable(spec))
         return false;
 
-    Envelope env;
-    env.digest = specDigest(spec);
-    env.spec = canonicalText(spec);
-    env.result = serializeResult(result);
-
-    const fs::path path = fs::path(conf.dir) / schemaDirName() /
-                          env.digest.substr(0, 2) /
-                          (env.digest + ".run");
+    const std::string digest = specDigest(spec);
+    const fs::path path = entryFile(conf.dir, digest);
     std::error_code ec;
     fs::create_directories(path.parent_path(), ec);
     if (ec) {
@@ -316,7 +255,8 @@ RunCache::store(const RunSpec &spec, const SimResult &result)
     const fs::path tmp = path.string() + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << env.render();
+        out << renderEnvelope(digest, canonicalText(spec),
+                              serializeResult(result));
         if (!out.good()) {
             warn("cache: write failed for %s", tmp.string().c_str());
             ++counters.errors;

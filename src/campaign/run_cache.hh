@@ -13,9 +13,12 @@
  *
  *   <dir>/v<schema>/<digest[0:2]>/<digest>.run
  *
- * Each entry embeds its digest and the full canonical spec text;
- * lookup re-verifies both, so a corrupted, truncated, or colliding
- * entry degrades to a miss (counted as stale), never a wrong result.
+ * Each entry is a record (common/record.hh): a tag line, its digest,
+ * the full canonical spec text and the serialized result as blobs, and
+ * an "end" line. Lookup re-verifies the digest and the spec text, and
+ * any envelope or result the strict reader rejects degrades to a miss
+ * (counted as stale), so a corrupted, truncated, or colliding entry
+ * never yields a wrong result.
  * The schema version is baked into both the path and the digest, so
  * entries written by an older simulator silently stop matching; gc()
  * reclaims those orphaned trees.

@@ -14,8 +14,10 @@
  * significant field (benchmark, kind, controller, seed, instruction
  * budget, the full SimConfig, the fault plan in canonical form, and
  * the observability switches that change which artifacts a result
- * carries). Floating-point fields render as exact hex floats, so two
- * specs have equal text iff they describe bit-identical runs.
+ * carries), written as a record (common/record.hh). Floating-point
+ * fields render as the hex of their IEEE-754 bits and text fields are
+ * escaped onto one line, so two specs have equal text iff they
+ * describe bit-identical runs.
  * specDigest() hashes that text (SHA-256) into the content address
  * the run cache stores results under.
  *

@@ -1,39 +1,7 @@
 #include "exec/exec_profile.hh"
 
-#include <cmath>
-#include <cstdio>
-
-#include "obs/stats_registry.hh"
-
 namespace mcd
 {
-
-namespace
-{
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string
-summaryJson(const SummaryStats &s)
-{
-    std::string out = "{\"count\": " + std::to_string(s.count());
-    if (s.count() > 0) {
-        out += ", \"mean\": " + num(s.mean());
-        out += ", \"min\": " + num(s.min());
-        out += ", \"max\": " + num(s.max());
-        out += ", \"stdev\": " + num(std::sqrt(s.variance()));
-    }
-    out += "}";
-    return out;
-}
-
-} // namespace
 
 void
 ExecProfile::recordTask(double queue_wait_ms, double exec_ms)
@@ -41,22 +9,6 @@ ExecProfile::recordTask(double queue_wait_ms, double exec_ms)
     std::lock_guard lock(mtx);
     waitMs.add(queue_wait_ms);
     execMs.add(exec_ms);
-    waitHist.add(queue_wait_ms);
-    execHist.add(exec_ms);
-}
-
-void
-ExecProfile::recordPhase(const std::string &name, double ms)
-{
-    std::lock_guard lock(mtx);
-    phases[name] += ms;
-}
-
-std::uint64_t
-ExecProfile::taskCount() const
-{
-    std::lock_guard lock(mtx);
-    return execMs.count();
 }
 
 SummaryStats
@@ -71,62 +23,6 @@ ExecProfile::waitSummary() const
 {
     std::lock_guard lock(mtx);
     return waitMs;
-}
-
-double
-ExecProfile::phaseMs(const std::string &name) const
-{
-    std::lock_guard lock(mtx);
-    const auto it = phases.find(name);
-    return it != phases.end() ? it->second : 0.0;
-}
-
-void
-ExecProfile::registerStats(obs::StatsRegistry &reg,
-                           const std::string &prefix) const
-{
-    reg.addIntCallback(
-        prefix + ".tasks", "pool tasks profiled",
-        [this] { return taskCount(); }, obs::statHost);
-    reg.addCallback(
-        prefix + ".exec_ms.mean", "mean task execution time, ms",
-        [this] { return execSummary().mean(); }, obs::statHost);
-    reg.addCallback(
-        prefix + ".exec_ms.max", "max task execution time, ms",
-        [this] {
-            const SummaryStats s = execSummary();
-            return s.count() ? s.max() : 0.0;
-        },
-        obs::statHost);
-    reg.addCallback(
-        prefix + ".wait_ms.mean", "mean task queue wait, ms",
-        [this] { return waitSummary().mean(); }, obs::statHost);
-    reg.addCallback(
-        prefix + ".wait_ms.max", "max task queue wait, ms",
-        [this] {
-            const SummaryStats s = waitSummary();
-            return s.count() ? s.max() : 0.0;
-        },
-        obs::statHost);
-}
-
-std::string
-ExecProfile::renderJson() const
-{
-    std::lock_guard lock(mtx);
-    std::string out = "{\"tasks\": " + std::to_string(execMs.count());
-    out += ", \"exec_ms\": " + summaryJson(execMs);
-    out += ", \"wait_ms\": " + summaryJson(waitMs);
-    out += ", \"phases\": {";
-    bool first = true;
-    for (const auto &[name, ms] : phases) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += "\"" + name + "\": " + num(ms);
-    }
-    out += "}}";
-    return out;
 }
 
 } // namespace mcd

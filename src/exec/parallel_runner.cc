@@ -26,33 +26,6 @@ namespace
 
 using ProfClock = std::chrono::steady_clock; // lint:allow(no-wallclock)
 
-/** Times one named phase into a profile (null profile = no clock). */
-class PhaseTimer
-{
-  public:
-    PhaseTimer(ExecProfile *profile, const char *phase_name)
-        : prof(profile), name(phase_name)
-    {
-        if (prof)
-            start = ProfClock::now();
-    }
-
-    ~PhaseTimer()
-    {
-        if (prof) {
-            prof->recordPhase(
-                name, std::chrono::duration<double, std::milli>(
-                          ProfClock::now() - start)
-                          .count());
-        }
-    }
-
-  private:
-    ExecProfile *prof;
-    const char *name;
-    ProfClock::time_point start{};
-};
-
 /** Process-wide jobs override (0 = automatic). */
 std::atomic<std::size_t> jobsOverride{0};
 
@@ -203,7 +176,6 @@ ParallelRunner::runOutcomes(const std::vector<RunTask> &tasks) const
     std::vector<RunOutcome> outcomes(tasks.size());
 
     if (jobCount == 1 || tasks.size() <= 1) {
-        PhaseTimer run_phase(profile, "run");
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             MCDSIM_TRACE(obs::DebugFlag::Exec, "serial task %zu: %s", i,
                          tasks[i].benchmark.c_str());
@@ -224,17 +196,13 @@ ParallelRunner::runOutcomes(const std::vector<RunTask> &tasks) const
     // No per-task error slots here: runTaskOutcome never throws, so
     // the pool's leaked-exception machinery stays quiet and outcomes
     // land at their task index regardless of completion order.
-    PhaseTimer run_phase(profile, "run");
     WorkerPool pool(std::min(jobCount, tasks.size()), profile);
-    {
-        PhaseTimer dispatch_phase(profile, "dispatch");
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            MCDSIM_TRACE(obs::DebugFlag::Exec, "dispatch task %zu: %s", i,
-                         tasks[i].benchmark.c_str());
-            pool.submit([&tasks, &outcomes, i] {
-                outcomes[i] = runTaskOutcome(tasks[i]);
-            });
-        }
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        MCDSIM_TRACE(obs::DebugFlag::Exec, "dispatch task %zu: %s", i,
+                     tasks[i].benchmark.c_str());
+        pool.submit([&tasks, &outcomes, i] {
+            outcomes[i] = runTaskOutcome(tasks[i]);
+        });
     }
     pool.waitIdle();
     return outcomes;

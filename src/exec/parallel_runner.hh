@@ -103,11 +103,10 @@ class ParallelRunner
 
     /**
      * Record wall-clock profiling into @p p: per-task latency and
-     * queue wait (via WorkerPool) plus "dispatch" and "run" phase
-     * timers. Null disables profiling (the default); the profile must
-     * outlive every runOutcomes() call. Profiling never touches
-     * simulation state, so results stay byte-identical with it on or
-     * off.
+     * queue wait (via WorkerPool). Null disables profiling (the
+     * default); the profile must outlive every runOutcomes() call.
+     * Profiling never touches simulation state, so results stay
+     * byte-identical with it on or off.
      */
     void setProfile(ExecProfile *p) { profile = p; }
 

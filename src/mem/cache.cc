@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <cstring>
+
 #include "common/error.hh"
 
 namespace mcd
@@ -31,7 +33,9 @@ Cache::Cache(const Config &config)
     if (!isPow2(numSets) || !isPow2(cfg.lineBytes))
         configError("cache", "cache '%s': sets and line size must be powers "
                     "of two", cfg.name.c_str());
-    lines.resize(std::size_t(numSets) * cfg.assoc);
+    const std::size_t n = std::size_t(numSets) * cfg.assoc;
+    lines = std::make_unique_for_overwrite<Line[]>(n);
+    std::memset(lines.get(), 0, n * sizeof(Line));
 }
 
 std::size_t
@@ -97,8 +101,8 @@ Cache::probe(Addr addr) const
 void
 Cache::flush()
 {
-    for (auto &line : lines)
-        line.valid = false;
+    for (std::size_t i = 0; i < std::size_t(numSets) * cfg.assoc; ++i)
+        lines[i].valid = false;
 }
 
 } // namespace mcd

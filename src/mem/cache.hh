@@ -11,8 +11,8 @@
 #define MCDSIM_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -58,11 +58,14 @@ class Cache
     }
 
   private:
+    /** Trivial, so the constructor can zero the array with one
+     *  memset: an element-wise fill loop ran up to twice as long
+     *  depending on where the linker placed it. */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
+        Addr tag;
+        bool valid;
+        std::uint64_t lastUse;
     };
 
     std::size_t setIndex(Addr addr) const;
@@ -70,7 +73,7 @@ class Cache
 
     Config cfg;
     std::uint32_t numSets;
-    std::vector<Line> lines; ///< numSets x assoc, row-major
+    std::unique_ptr<Line[]> lines; ///< numSets x assoc, row-major
     std::uint64_t useClock = 0;
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;

@@ -89,66 +89,57 @@ validName(const std::string &name)
 } // namespace
 
 StatsRegistry::Entry &
-StatsRegistry::insert(const std::string &name, std::string desc,
-                      unsigned flags)
+StatsRegistry::insert(const std::string &name, std::string desc)
 {
     MCDSIM_CHECK(validName(name), "bad stat name '%s' (want a dotted "
                  "path of [a-zA-Z0-9_.-])", name.c_str());
     auto [it, inserted] = entries.try_emplace(name);
     MCDSIM_CHECK(inserted, "stat '%s' registered twice", name.c_str());
     it->second.desc = std::move(desc);
-    it->second.flags = flags;
     return it->second;
 }
 
 Counter &
-StatsRegistry::addCounter(const std::string &name, std::string desc,
-                          unsigned flags)
+StatsRegistry::addCounter(const std::string &name, std::string desc)
 {
-    return insert(name, std::move(desc), flags)
-        .value.emplace<Counter>();
+    return insert(name, std::move(desc)).value.emplace<Counter>();
 }
 
 Gauge &
-StatsRegistry::addGauge(const std::string &name, std::string desc,
-                        unsigned flags)
+StatsRegistry::addGauge(const std::string &name, std::string desc)
 {
-    return insert(name, std::move(desc), flags).value.emplace<Gauge>();
+    return insert(name, std::move(desc)).value.emplace<Gauge>();
 }
 
 Distribution &
-StatsRegistry::addDistribution(const std::string &name, std::string desc,
-                               unsigned flags)
+StatsRegistry::addDistribution(const std::string &name, std::string desc)
 {
-    return insert(name, std::move(desc), flags)
-        .value.emplace<Distribution>();
+    return insert(name, std::move(desc)).value.emplace<Distribution>();
 }
 
 Histogram &
 StatsRegistry::addHistogram(const std::string &name, std::string desc,
-                            double lo, double hi, std::size_t bins,
-                            unsigned flags)
+                            double lo, double hi, std::size_t bins)
 {
-    return insert(name, std::move(desc), flags)
+    return insert(name, std::move(desc))
         .value.emplace<Histogram>(lo, hi, bins);
 }
 
 void
 StatsRegistry::addIntCallback(const std::string &name, std::string desc,
-                              std::function<std::uint64_t()> fn,
-                              unsigned flags)
+                              std::function<std::uint64_t()> fn)
 {
     MCDSIM_CHECK(fn != nullptr, "stat '%s': null callback", name.c_str());
-    insert(name, std::move(desc), flags)
+    insert(name, std::move(desc))
         .value.emplace<std::function<std::uint64_t()>>(std::move(fn));
 }
 
 void
 StatsRegistry::addCallback(const std::string &name, std::string desc,
-                           std::function<double()> fn, unsigned flags)
+                           std::function<double()> fn)
 {
     MCDSIM_CHECK(fn != nullptr, "stat '%s': null callback", name.c_str());
-    insert(name, std::move(desc), flags)
+    insert(name, std::move(desc))
         .value.emplace<std::function<double()>>(std::move(fn));
 }
 
@@ -159,11 +150,9 @@ StatsRegistry::contains(const std::string &name) const
 }
 
 void
-StatsRegistry::dumpText(std::ostream &os, bool include_host) const
+StatsRegistry::dumpText(std::ostream &os) const
 {
     for (const auto &[name, entry] : entries) {
-        if ((entry.flags & statHost) && !include_host)
-            continue;
         std::vector<Cell> cells;
         expand(entry.value, cells);
         for (const auto &cell : cells) {
@@ -179,13 +168,11 @@ StatsRegistry::dumpText(std::ostream &os, bool include_host) const
 }
 
 void
-StatsRegistry::dumpJson(std::ostream &os, bool include_host) const
+StatsRegistry::dumpJson(std::ostream &os) const
 {
     os << "{\n";
     bool first = true;
     for (const auto &[name, entry] : entries) {
-        if ((entry.flags & statHost) && !include_host)
-            continue;
         std::vector<Cell> cells;
         expand(entry.value, cells);
         if (!first)
@@ -208,18 +195,18 @@ StatsRegistry::dumpJson(std::ostream &os, bool include_host) const
 }
 
 std::string
-StatsRegistry::renderText(bool include_host) const
+StatsRegistry::renderText() const
 {
     std::ostringstream os;
-    dumpText(os, include_host);
+    dumpText(os);
     return os.str();
 }
 
 std::string
-StatsRegistry::renderJson(bool include_host) const
+StatsRegistry::renderJson() const
 {
     std::ostringstream os;
-    dumpJson(os, include_host);
+    dumpJson(os);
     return os.str();
 }
 

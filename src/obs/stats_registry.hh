@@ -17,11 +17,10 @@
  * time and therefore cost nothing during simulation — the preferred
  * form for anything a component already tracks.
  *
- * Determinism policy (see DESIGN.md "Observability layer"): stats
- * registered with `statHost` carry host-side measurements (wall-clock
- * profiling from the execution layer) and are excluded from dumps by
- * default, so a simulation stats dump is a pure function of
- * configuration and seed — byte-identical across --jobs counts.
+ * Determinism policy (see DESIGN.md "Observability layer"): only
+ * simulation state is registered, never a host-side measurement, so
+ * a stats dump is a pure function of configuration and seed —
+ * byte-identical across --jobs counts.
  */
 
 #ifndef MCDSIM_OBS_STATS_REGISTRY_HH
@@ -41,18 +40,6 @@ namespace mcd
 {
 namespace obs
 {
-
-/** Behaviour flags for a registered stat. */
-enum StatFlags : unsigned
-{
-    statDefault = 0,
-
-    /**
-     * Host-side (wall-clock) measurement: excluded from dumps unless
-     * explicitly requested, so deterministic dumps stay deterministic.
-     */
-    statHost = 1u << 0,
-};
 
 /** Monotonically increasing event count. */
 class Counter
@@ -110,26 +97,20 @@ class StatsRegistry
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
     /** @{ Register an owned stat under @p name. */
-    Counter &addCounter(const std::string &name, std::string desc,
-                        unsigned flags = statDefault);
-    Gauge &addGauge(const std::string &name, std::string desc,
-                    unsigned flags = statDefault);
+    Counter &addCounter(const std::string &name, std::string desc);
+    Gauge &addGauge(const std::string &name, std::string desc);
     Distribution &addDistribution(const std::string &name,
-                                  std::string desc,
-                                  unsigned flags = statDefault);
+                                  std::string desc);
     Histogram &addHistogram(const std::string &name, std::string desc,
-                            double lo, double hi, std::size_t bins,
-                            unsigned flags = statDefault);
+                            double lo, double hi, std::size_t bins);
     /** @} */
 
     /** @{ Register a dump-time read of an existing component counter.
      *  The callback must outlive the registry's last dump. */
     void addIntCallback(const std::string &name, std::string desc,
-                        std::function<std::uint64_t()> fn,
-                        unsigned flags = statDefault);
+                        std::function<std::uint64_t()> fn);
     void addCallback(const std::string &name, std::string desc,
-                     std::function<double()> fn,
-                     unsigned flags = statDefault);
+                     std::function<double()> fn);
     /** @} */
 
     std::size_t size() const { return entries.size(); }
@@ -141,27 +122,25 @@ class StatsRegistry
      * Distributions and histograms expand into dotted sub-keys
      * (.count/.mean/.stdev/.min/.max, .bin<i>/.underflow/...).
      */
-    void dumpText(std::ostream &os, bool include_host = false) const;
+    void dumpText(std::ostream &os) const;
 
     /** Flat JSON object keyed by dotted stat name, sorted. */
-    void dumpJson(std::ostream &os, bool include_host = false) const;
+    void dumpJson(std::ostream &os) const;
 
-    std::string renderText(bool include_host = false) const;
-    std::string renderJson(bool include_host = false) const;
+    std::string renderText() const;
+    std::string renderJson() const;
 
   private:
     struct Entry
     {
         std::string desc;
-        unsigned flags = statDefault;
         std::variant<Counter, Gauge, Distribution, Histogram,
                      std::function<std::uint64_t()>,
                      std::function<double()>>
             value;
     };
 
-    Entry &insert(const std::string &name, std::string desc,
-                  unsigned flags);
+    Entry &insert(const std::string &name, std::string desc);
 
     std::map<std::string, Entry> entries;
 };

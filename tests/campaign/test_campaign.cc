@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "campaign/campaign.hh"
@@ -297,6 +298,40 @@ TEST_F(CampaignTest, FailedRunsPropagateThroughManifests)
     EXPECT_TRUE(runSucceeded(rows[0].status));
     EXPECT_FALSE(runSucceeded(rows[1].status));
     EXPECT_EQ(rows[1].benchmark, "gzip");
+}
+
+// Byte pin of a shard manifest: manifests written by an older build
+// must still merge. The failed run's error holds a space, a backslash
+// and a newline, which exercises the escaping of the last field.
+TEST_F(CampaignTest, ManifestBytesArePinned)
+{
+    CampaignResult result;
+    result.total = 4;
+    result.shard = Shard{2, 2};
+    CampaignRun hit;
+    hit.index = 1;
+    hit.digest = std::string(64, 'a');
+    hit.fromCache = true;
+    CampaignRun failed;
+    failed.index = 3;
+    failed.digest = std::string(64, 'b');
+    failed.outcome.status = RunStatus::Failed;
+    failed.outcome.attempts = 2;
+    failed.outcome.error = "exec error at task-throw: a\\b\nc";
+    result.runs = {hit, failed};
+
+    fs::create_directories(dir);
+    const std::string path = (dir / "m.txt").string();
+    writeManifest(result, path);
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(bytes.str(),
+              "mcdsim-manifest-v1\nschema=1\ntotal=4\nshard=2/2\nruns=2\n"
+              "run=1 " + std::string(64, 'a') + " ok 1 1\n"
+              "run=3 " + std::string(64, 'b') +
+                  " failed 2 0 exec error at task-throw: a\\\\b\\nc\n"
+              "end\n");
 }
 
 TEST_F(CampaignTest, MultiSeedLabelsCarrySeedSuffix)

@@ -96,6 +96,30 @@ TEST(ResultIo, MalformedInputIsRejected)
         ConfigError);
     // Trailing garbage after the end marker is corruption too.
     EXPECT_THROW(deserializeResult(good + "x\n"), ConfigError);
+
+    // Numbers must be in the one form serializeResult writes, or the
+    // round trip breaks: no sign, no whitespace, no leading zero, and
+    // exactly 16 lowercase hex digits after f64:.
+    const auto edited = [&good](const std::string &from,
+                                const std::string &to) {
+        const std::size_t at = good.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        std::string text = good;
+        return text.replace(at, from.size(), to);
+    };
+    for (const char *bad :
+         {"instructions= 5", "instructions=+5", "instructions= -5",
+          "instructions=05"})
+        EXPECT_THROW(deserializeResult(edited("instructions=0", bad)),
+                     ConfigError)
+            << bad;
+    for (const char *bad :
+         {"energy=f64:0x00000000000001", "energy=f64: 000000000000001",
+          "energy=f64:3FF0000000000000"})
+        EXPECT_THROW(
+            deserializeResult(edited("energy=f64:0000000000000000", bad)),
+            ConfigError)
+            << bad;
 }
 
 } // namespace

@@ -10,9 +10,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "campaign/result_io.hh"
 #include "campaign/run_cache.hh"
+#include "common/digest.hh"
 #include "common/error.hh"
 #include "core/report.hh"
 #include "core/run_spec.hh"
@@ -86,6 +88,38 @@ TEST_F(RunCacheTest, StoreThenLookupIsByteExact)
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().stores, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// Byte pin of one entry file: the envelope framing, the canonical
+// spec blob and the result blob. Entries written by an older build
+// must keep hitting, so no byte of this file may move.
+TEST_F(RunCacheTest, EntryFileBytesArePinned)
+{
+    RunCache cache = make(CacheMode::ReadWrite);
+    const RunSpec spec = quickSpec();
+    SimResult r;
+    r.benchmark = "adpcm_enc";
+    r.controller = "adaptive";
+    r.instructions = 20000;
+    r.energy = 1.5;
+    r.statsText = "a\\b\nc\n";
+    ASSERT_TRUE(cache.store(spec, r));
+
+    std::ifstream in(cache.entryPath(spec), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string entry = bytes.str();
+    const std::string head = "mcdsim-cache-entry-v1\ndigest=" +
+                             specDigest(spec) + "\nspec*4078\n";
+    EXPECT_EQ(entry.substr(0, head.size()), head);
+    EXPECT_EQ(entry.substr(entry.size() - 9), "end\n\nend\n");
+    EXPECT_EQ(entry.size(), 9203u);
+    EXPECT_EQ(sha256Hex(entry),
+              "eaf3512a470e4384204e949534d2a5ea446c5bce78ae9318a4f83f69376c2657");
+
+    const auto hit = cache.lookup(spec);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(serializeResult(*hit), serializeResult(r));
 }
 
 TEST_F(RunCacheTest, DistinctSpecsGetDistinctEntries)

@@ -11,6 +11,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/digest.hh"
 #include "common/error.hh"
 #include "core/run_spec.hh"
 #include "exec/parallel_runner.hh"
@@ -41,6 +42,60 @@ TEST(RunSpecCanonical, DeterministicAndVersioned)
     // digest: bumping it must orphan every existing cache entry.
     EXPECT_NE(canonicalText(a, kRunSpecSchemaVersion),
               canonicalText(a, kRunSpecSchemaVersion + 1));
+}
+
+/** The `key=` line of @p text, newline included ("" when absent). */
+std::string
+lineOf(const std::string &text, const std::string &key)
+{
+    const std::size_t at = text.find("\n" + key + "=");
+    if (at == std::string::npos)
+        return "";
+    return text.substr(at + 1, text.find('\n', at + 1) - at);
+}
+
+// Byte pins of the canonical text: a digest moves iff a byte of the
+// text moves, so these hold every cache key in the store fixed. A
+// failure here means existing cache entries stop matching; that needs
+// a kRunSpecSchemaVersion bump, never a re-pin.
+TEST(RunSpecCanonical, BytesArePinned)
+{
+    const RunSpec adaptive =
+        schemeSpec("gzip", ControllerKind::Adaptive, RunOptions{});
+    const std::string text = canonicalText(adaptive);
+    EXPECT_EQ(text.substr(0, text.find("cfg.")),
+              "format=mcdsim-runspec\nschema=1\nbenchmark=gzip\n"
+              "kind=scheme\ncontroller=adaptive\nseed=1\n"
+              "instructions=2000000\n");
+    EXPECT_EQ(lineOf(text, "cfg.vf.f_min"),
+              "cfg.vf.f_min=f64:41adcd6500000000\n");
+    EXPECT_EQ(lineOf(text, "cfg.faults"), "cfg.faults=-\n");
+    EXPECT_EQ(sha256Hex(text), specDigest(adaptive));
+    EXPECT_EQ(specDigest(adaptive),
+              "f61a29dce0922ca6aa814c6e62d1371415575bbdc3b597024a25fb4ad33abb76");
+
+    const RunSpec sync = syncBaselineSpec("mcf", RunOptions{});
+    EXPECT_EQ(lineOf(canonicalText(sync), "kind"), "kind=sync-baseline\n");
+    EXPECT_EQ(specDigest(sync),
+              "a0b4f8f8501e893e2de0b937eac9f346e8818dafcdcd526e55f484674d3195ab");
+
+    // Five domains, and text fields holding a backslash and a newline:
+    // both are escaped, so every field stays on its own line.
+    RunOptions opts;
+    opts.config.fiveDomainPartition = true;
+    opts.config.faults =
+        FaultPlan::parseShared("task-throw:bench=a\\b\nc");
+    opts.config.faultBenchmark = "x\\y\nz";
+    const RunSpec five = schemeSpec("mcf", ControllerKind::Pid, opts);
+    const std::string fiveText = canonicalText(five);
+    EXPECT_EQ(lineOf(fiveText, "cfg.faults"),
+              "cfg.faults=task-throw:bench=a\\\\b\\nc\n");
+    EXPECT_EQ(lineOf(fiveText, "cfg.fault_benchmark"),
+              "cfg.fault_benchmark=x\\\\y\\nz\n");
+    EXPECT_EQ(lineOf(fiveText, "cfg.five_domain_partition"),
+              "cfg.five_domain_partition=1\n");
+    EXPECT_EQ(specDigest(five),
+              "25883226f6c908f80498cc593512e48c2351ad9177c349b07cc81b4388cb3dd4");
 }
 
 TEST(RunSpecCanonical, DigestIgnoresHostParallelism)

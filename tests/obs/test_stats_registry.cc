@@ -60,19 +60,6 @@ TEST(StatsRegistry, TextDumpIsSortedByName)
     EXPECT_LT(f, z);
 }
 
-TEST(StatsRegistry, HostStatsExcludedByDefault)
-{
-    StatsRegistry reg;
-    reg.addCounter("sim.events", "deterministic");
-    reg.addCallback(
-        "pool.exec_ms", "host time", [] { return 1.5; }, obs::statHost);
-    const std::string def = reg.renderText();
-    EXPECT_NE(def.find("sim.events"), std::string::npos);
-    EXPECT_EQ(def.find("pool.exec_ms"), std::string::npos);
-    const std::string all = reg.renderText(/*include_host=*/true);
-    EXPECT_NE(all.find("pool.exec_ms"), std::string::npos);
-}
-
 TEST(StatsRegistry, DistributionExpandsIntoSubKeys)
 {
     StatsRegistry reg;

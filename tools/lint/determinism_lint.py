@@ -40,6 +40,14 @@ Rules (applied to src/**/*.{hh,cc}):
                     through warn()/inform()/traceLine() so parallel
                     runs interleave whole lines and tests can assert
                     on a single choke point.
+  no-adhoc-number-parse
+                    No strtoull/strtoul/strtol/strtod (and kin),
+                    atoi/atol/atof, sscanf or std::sto* in src/.
+                    They accept signs, whitespace, hex prefixes and
+                    trailing junk, so a format parsed with them reads
+                    non-canonical bytes without complaint. Parse
+                    integers with mcd::parseUint (common/parse.hh) and
+                    records with RecordReader (common/record.hh).
 
 One more rule applies to examples/ and bench/ (never to src/):
 
@@ -273,6 +281,22 @@ def check_raw_stderr(relpath, lines):
                 break
 
 
+ADHOC_PARSE_RE = re.compile(
+    r"(?<![\w.])(?:std::)?"
+    r"(strto(?:ull|ul|ll|l|d|f|ld|imax|umax)|ato(?:i|l|ll|f)|v?sscanf|"
+    r"sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
+
+
+def check_adhoc_number_parse(relpath, lines):
+    for lineno, line in lines:
+        m = ADHOC_PARSE_RE.search(line)
+        if m:
+            yield (lineno,
+                   f"{m.group(1)}() accepts signs, whitespace and "
+                   "trailing junk; parse through mcd::parseUint or "
+                   "RecordReader so malformed input is a ConfigError")
+
+
 QUOTED_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
 
 
@@ -298,6 +322,7 @@ RULES = [
     ("no-assert", check_no_assert),
     ("no-threading", check_no_threading),
     ("no-raw-stderr", check_raw_stderr),
+    ("no-adhoc-number-parse", check_adhoc_number_parse),
 ]
 
 
@@ -391,6 +416,13 @@ SELF_TEST_CASES = [
      "#include <random>\nstd::random_device entropy;\n"),
     ("no-threading", "src/fault/bad14.cc",
      "#include <atomic>\nstd::atomic<long> injected{0};\n"),
+    ("no-adhoc-number-parse", "src/campaign/bad18.cc",
+     "#include <cstdlib>\n"
+     "auto n = std::strtoull(v.c_str(), &end, 10);\n"),
+    ("no-adhoc-number-parse", "src/core/bad19.cc",
+     "int jobs = std::stoi(text);\n"),
+    ("no-adhoc-number-parse", "src/fault/bad20.cc",
+     "int n = atoi(s); sscanf(s, \"%d\", &n);\n"),
     # Deep includes from outside src/ bypass the facade.
     ("facade-only", "examples/bad15.cpp",
      "#include \"core/runner.hh\"\nint main() {}\n"),
@@ -427,6 +459,12 @@ SELF_TEST_CLEAN = [
     ("src/core/stderr_mention.cc",
      "// warnings go to stderr via warn()\n"
      "const char *w = \"std::cerr\";\n"),
+    # Checked parsing, and names that merely contain a banned one.
+    ("src/common/parse_style.cc",
+     "std::uint64_t n = parseUint(text, \"--jobs\");\n"
+     "double d = r.parseF64(token, key);\n"
+     "std::stop_token tok; auto x = my_strtod_wrapper;\n"
+     "const char *doc = \"strtoull(\";\n"),
     # The execution layer is the one place threads are allowed.
     ("src/exec/pool.cc",
      "#include <thread>\n"
