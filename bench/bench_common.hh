@@ -14,7 +14,6 @@
 #define MCDSIM_BENCH_BENCH_COMMON_HH
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,9 +42,11 @@ runLength(std::uint64_t def = 600000)
 {
     if (const char *env = std::getenv("MCDSIM_INSTS")) {
         std::uint64_t v = 0;
-        const char *end = env + std::strlen(env);
-        const auto [ptr, ec] = std::from_chars(env, end, v);
-        if (ec == std::errc{} && ptr == end && v > 0)
+        try {
+            v = mcd::parseUint(env, "MCDSIM_INSTS");
+        } catch (const mcd::ConfigError &) {
+        }
+        if (v > 0)
             return v;
         std::fprintf(stderr,
                      "mcdsim: ignoring malformed MCDSIM_INSTS='%s' "

@@ -189,7 +189,7 @@ Campaign::run(const Shard &shard)
     out.shard = shard;
 
     // Resolve cache hits up front, on this thread; only misses are
-    // handed to the worker pool.
+    // handed to the ParallelRunner.
     std::vector<std::size_t> missIndex;
     for (std::size_t i = 0; i < expansion.size(); ++i) {
         if (!shardContains(shard, i))

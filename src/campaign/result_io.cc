@@ -163,7 +163,7 @@ serializeResult(const SimResult &r)
 }
 
 SimResult
-deserializeResult(const std::string &text)
+deserializeResult(std::string_view text)
 {
     RecordReader r(text, "result-io", "malformed result entry");
     r.expectLine(kResultFormatTag);

@@ -22,6 +22,7 @@
 #define MCDSIM_CAMPAIGN_RESULT_IO_HH
 
 #include <string>
+#include <string_view>
 
 #include "core/metrics.hh"
 
@@ -39,7 +40,7 @@ std::string serializeResult(const SimResult &r);
  * "result-io") on any tag, key, length, or value mismatch —
  * serializeResult(deserializeResult(t)) == t for every valid t.
  */
-SimResult deserializeResult(const std::string &text);
+SimResult deserializeResult(std::string_view text);
 
 } // namespace mcd
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "campaign/result_io.hh"
+#include "common/digest.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/record.hh"
@@ -199,7 +200,8 @@ RunCache::lookup(const RunSpec &spec)
         return std::nullopt;
     }
 
-    const std::string digest = specDigest(spec);
+    const std::string canonical = canonicalText(spec);
+    const std::string digest = sha256Hex(canonical);
     const fs::path path = entryFile(conf.dir, digest);
     std::error_code ec;
     if (!fs::exists(path, ec) || ec) {
@@ -217,13 +219,13 @@ RunCache::lookup(const RunSpec &spec)
 
     // Verify the envelope end to end: digest and full canonical text
     // must both match before a byte of the result is trusted.
-    const auto result = envelopeResult(*text, digest, canonicalText(spec));
+    const auto result = envelopeResult(*text, digest, canonical);
     if (!result) {
         ++counters.stale;
         return std::nullopt;
     }
     try {
-        SimResult r = deserializeResult(std::string(*result));
+        SimResult r = deserializeResult(*result);
         ++counters.hits;
         return r;
     } catch (const ConfigError &) {
@@ -238,7 +240,8 @@ RunCache::store(const RunSpec &spec, const SimResult &result)
     if (!writable() || !cacheable(spec))
         return false;
 
-    const std::string digest = specDigest(spec);
+    const std::string canonical = canonicalText(spec);
+    const std::string digest = sha256Hex(canonical);
     const fs::path path = entryFile(conf.dir, digest);
     std::error_code ec;
     fs::create_directories(path.parent_path(), ec);
@@ -255,8 +258,7 @@ RunCache::store(const RunSpec &spec, const SimResult &result)
     const fs::path tmp = path.string() + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << renderEnvelope(digest, canonicalText(spec),
-                              serializeResult(result));
+        out << renderEnvelope(digest, canonical, serializeResult(result));
         if (!out.good()) {
             warn("cache: write failed for %s", tmp.string().c_str());
             ++counters.errors;

@@ -3,15 +3,14 @@
  * Host-side profiling for the experiment execution layer.
  *
  * Records wall-clock measurements only: per-task execution latency
- * and queue wait inside WorkerPool (and the serial ParallelRunner
- * path). These are properties of the host machine, not of the
- * simulation, so they never enter a stats dump or a SimResult;
- * perfbench's campaign-cold workload reports them as its exec.*
- * per-layer metrics.
+ * and queue wait in ParallelRunner::runOutcomes(). These are
+ * properties of the host machine, not of the simulation, so they
+ * never enter a stats dump or a SimResult; perfbench's campaign-cold
+ * workload reports them as its exec.* per-layer metrics.
  *
- * Thread safety: recordTask() is called from pool workers and takes
- * an internal mutex; the snapshots lock the same mutex, so read them
- * after waitIdle() returns.
+ * Thread safety: recordTask() is called from the runner's workers and
+ * takes an internal mutex; the snapshots lock the same mutex, so read
+ * them after runOutcomes() returns.
  */
 
 #ifndef MCDSIM_EXEC_EXEC_PROFILE_HH
@@ -33,7 +32,7 @@ class ExecProfile
     ExecProfile(const ExecProfile &) = delete;
     ExecProfile &operator=(const ExecProfile &) = delete;
 
-    /** One pool task: time queued and time executing, milliseconds. */
+    /** One task: time queued and time executing, milliseconds. */
     void recordTask(double queue_wait_ms, double exec_ms);
 
     /** @{ Snapshots (lock internally; cheap). */

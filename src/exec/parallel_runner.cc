@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -13,8 +12,8 @@
 #include "common/check.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "exec/exec_profile.hh"
-#include "exec/worker_pool.hh"
 #include "fault/fault_plan.hh"
 #include "obs/debug_flags.hh"
 
@@ -26,6 +25,12 @@ namespace
 
 using ProfClock = std::chrono::steady_clock; // lint:allow(no-wallclock)
 
+double
+msBetween(ProfClock::time_point start, ProfClock::time_point end)
+{
+    return std::chrono::duration<double, std::milli>(end - start).count();
+}
+
 /** Process-wide jobs override (0 = automatic). */
 std::atomic<std::size_t> jobsOverride{0};
 
@@ -35,15 +40,16 @@ jobsFromEnvironment()
     const char *env = std::getenv("MCDSIM_JOBS");
     if (!env || *env == '\0')
         return 0;
-    std::size_t value = 0;
-    const char *end = env + std::strlen(env);
-    const auto [ptr, ec] = std::from_chars(env, end, value);
-    if (ec != std::errc() || ptr != end || value == 0) {
+    std::uint64_t value = 0;
+    try {
+        value = parseUint(env, "MCDSIM_JOBS",
+                          std::numeric_limits<std::size_t>::max());
+    } catch (const ConfigError &) {
+    }
+    if (value == 0)
         warn("MCDSIM_JOBS='%s' is not a positive integer; using "
              "hardware concurrency", env);
-        return 0;
-    }
-    return value;
+    return static_cast<std::size_t>(value);
 }
 
 } // namespace
@@ -87,7 +93,6 @@ spinFor(std::uint64_t iterations)
 RunOutcome
 runTaskOutcome(const RunTask &task)
 {
-    MCDSIM_CHECK(task.opts != nullptr, "task without options");
     const RunOptions &opts = *task.opts;
     const std::uint32_t max_attempts =
         std::max<std::uint32_t>(1, opts.maxAttempts);
@@ -173,38 +178,48 @@ ParallelRunner::ParallelRunner(std::size_t jobs)
 std::vector<RunOutcome>
 ParallelRunner::runOutcomes(const std::vector<RunTask> &tasks) const
 {
+    for (const RunTask &task : tasks)
+        MCDSIM_CHECK(task.opts != nullptr, "task without options");
+
     std::vector<RunOutcome> outcomes(tasks.size());
+    const std::size_t workers = std::min(jobCount, tasks.size());
+    // Queue wait is 0 when one worker runs everything; otherwise every
+    // task counts as queued from fan-out start.
+    const bool serial = workers <= 1;
+    const auto fanOut = profile ? ProfClock::now() : ProfClock::time_point{};
+    std::atomic<std::size_t> next{0};
 
-    if (jobCount == 1 || tasks.size() <= 1) {
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            MCDSIM_TRACE(obs::DebugFlag::Exec, "serial task %zu: %s", i,
+    // Tasks go out in index order; outcome i lands in slot i whatever
+    // the completion order. runTaskOutcome never throws.
+    const auto work = [&] {
+        for (std::size_t i = next.fetch_add(1); i < tasks.size();
+             i = next.fetch_add(1)) {
+            MCDSIM_TRACE(obs::DebugFlag::Exec, "task %zu: %s", i,
                          tasks[i].benchmark.c_str());
-            if (profile) {
-                const auto started = ProfClock::now();
+            if (!profile) {
                 outcomes[i] = runTaskOutcome(tasks[i]);
-                profile->recordTask(
-                    0.0, std::chrono::duration<double, std::milli>(
-                             ProfClock::now() - started)
-                             .count());
-            } else {
-                outcomes[i] = runTaskOutcome(tasks[i]);
+                continue;
             }
-        }
-        return outcomes;
-    }
-
-    // No per-task error slots here: runTaskOutcome never throws, so
-    // the pool's leaked-exception machinery stays quiet and outcomes
-    // land at their task index regardless of completion order.
-    WorkerPool pool(std::min(jobCount, tasks.size()), profile);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        MCDSIM_TRACE(obs::DebugFlag::Exec, "dispatch task %zu: %s", i,
-                     tasks[i].benchmark.c_str());
-        pool.submit([&tasks, &outcomes, i] {
+            const auto started = ProfClock::now();
             outcomes[i] = runTaskOutcome(tasks[i]);
-        });
+            profile->recordTask(serial ? 0.0 : msBetween(fanOut, started),
+                                msBetween(started, ProfClock::now()));
+        }
+    };
+
+    // One worker runs on the calling thread. Several run on their own
+    // threads, which join at scope exit, and the caller only waits:
+    // a caller that ran a share of the simulations kept their heap
+    // churn in its own malloc arena, which slowed its later
+    // allocations (perfbench campaign-cold setup_s, timed on the
+    // calling thread between passes, read 12-22% higher).
+    if (workers <= 1) {
+        work();
+    } else {
+        std::vector<std::jthread> threads;
+        for (std::size_t w = 0; w < workers; ++w)
+            threads.emplace_back(work);
     }
-    pool.waitIdle();
     return outcomes;
 }
 

@@ -6,19 +6,22 @@
  * (benchmark, scheme, seed, config) runs, and each run is a pure
  * function of its inputs (tests/integration/test_determinism.cc
  * enforces this). That makes the whole suite embarrassingly parallel:
- * ParallelRunner fans RunTask units out over a WorkerPool, runs each
- * in its own McdProcessor, and hands the outcomes back in task-
- * submission order — so any table built from them is byte-identical
- * to a serial run, regardless of completion order. Harnesses do not
- * call it directly: they describe RunSpecs and run them through
- * Campaign (campaign/campaign.hh), which serves cache hits and hands
- * the misses to runOutcomes().
+ * ParallelRunner runs a RunTask list on at most `jobs` threads, each
+ * task in its own McdProcessor, and hands the outcomes back in task
+ * order — so any table built from them is byte-identical to a serial
+ * run, regardless of completion order. Harnesses do not call it
+ * directly: they describe RunSpecs and run them through Campaign
+ * (campaign/campaign.hh), which serves cache hits and hands the
+ * misses to runOutcomes().
  *
  * Concurrency knob, in precedence order:
  *   1. setConfiguredJobs() — e.g. from a harness --jobs flag;
  *   2. the MCDSIM_JOBS environment variable;
  *   3. std::thread::hardware_concurrency().
- * Jobs = 1 takes the exact old serial path (no pool, no threads).
+ *
+ * This is the only place in mcdsim where threads exist; the simulator
+ * itself stays single-threaded (tools/lint/determinism_lint.py bans
+ * threading primitives outside src/exec/).
  */
 
 #ifndef MCDSIM_EXEC_PARALLEL_RUNNER_HH
@@ -76,6 +79,7 @@ struct RunOutcome
  * (RunOptions::wallDeadlineMs), and every exception mapped to a
  * RunOutcome instead of propagating. SimError at sites
  * "event-budget" / "deadline" becomes RunStatus::TimedOut.
+ * task.opts must be non-null (runOutcomes() checks every task).
  */
 RunOutcome runTaskOutcome(const RunTask &task);
 
@@ -89,34 +93,40 @@ std::size_t configuredJobs();
 /** Override configuredJobs() process-wide; 0 restores automatic. */
 void setConfiguredJobs(std::size_t jobs);
 
-/** Fan RunTasks out over a worker pool. */
+/** Fan RunTasks out over at most jobs() threads. */
 class ParallelRunner
 {
   public:
     /** Use configuredJobs() workers. */
     ParallelRunner();
 
-    /** Use exactly @p jobs workers (1 = serial path). */
+    /** Use at most @p jobs workers (0 counts as 1). */
     explicit ParallelRunner(std::size_t jobs);
 
     std::size_t jobs() const { return jobCount; }
 
     /**
-     * Record wall-clock profiling into @p p: per-task latency and
-     * queue wait (via WorkerPool). Null disables profiling (the
-     * default); the profile must outlive every runOutcomes() call.
-     * Profiling never touches simulation state, so results stay
-     * byte-identical with it on or off.
+     * Record wall-clock profiling into @p p: one recordTask() per
+     * task, with its latency and queue wait (0 when one worker runs
+     * the whole list, else the time from fan-out start to task
+     * start). Null disables profiling (the default); the profile
+     * must outlive every runOutcomes() call. Profiling never touches
+     * simulation state, so results stay byte-identical with it on or
+     * off.
      */
     void setProfile(ExecProfile *p) { profile = p; }
 
     /**
      * Run every task with per-run isolation; outcomes in task order.
-     * Never throws for a failing task — failures are returned as
-     * RunOutcome rows (runTaskOutcome above), so one poisoned run
-     * cannot abort the suite. Outcomes are byte-identical between
-     * jobs = 1 and jobs = N: both paths run the same guarded function
-     * per task and ordering never depends on completion order.
+     * min(jobs, tasks) workers each claim the next task index from
+     * one atomic counter until the list is done. One worker is the
+     * calling thread, so one job or one task starts no thread; more
+     * run on their own threads while the caller waits. Never throws
+     * for a failing task —
+     * failures are returned as RunOutcome rows (runTaskOutcome
+     * above), so one poisoned run cannot abort the suite. Outcomes
+     * are byte-identical for every jobs value: each task runs the
+     * same guarded function and lands in its own slot.
      */
     std::vector<RunOutcome>
     runOutcomes(const std::vector<RunTask> &tasks) const;

@@ -45,24 +45,13 @@ template <typename Variant>
 void
 expand(const Variant &value, std::vector<Cell> &out)
 {
-    if (const auto *c = std::get_if<Counter>(&value)) {
-        out.push_back({"", formatInt(c->value())});
-    } else if (const auto *g = std::get_if<Gauge>(&value)) {
-        out.push_back({"", formatDouble(g->value())});
-    } else if (const auto *d = std::get_if<Distribution>(&value)) {
+    if (const auto *d = std::get_if<Distribution>(&value)) {
         const SummaryStats &s = d->summary();
         out.push_back({"count", formatInt(s.count())});
         out.push_back({"mean", formatDouble(s.mean())});
         out.push_back({"variance", formatDouble(s.variance())});
         out.push_back({"min", formatDouble(s.min())});
         out.push_back({"max", formatDouble(s.max())});
-    } else if (const auto *h = std::get_if<Histogram>(&value)) {
-        out.push_back({"total", formatInt(h->totalCount())});
-        out.push_back({"underflow", formatInt(h->underflowCount())});
-        out.push_back({"overflow", formatInt(h->overflowCount())});
-        for (std::size_t i = 0; i < h->binCount(); ++i)
-            out.push_back({"bin" + std::to_string(i),
-                           formatInt(h->binAt(i))});
     } else if (const auto *fi =
                    std::get_if<std::function<std::uint64_t()>>(&value)) {
         out.push_back({"", formatInt((*fi)())});
@@ -99,30 +88,10 @@ StatsRegistry::insert(const std::string &name, std::string desc)
     return it->second;
 }
 
-Counter &
-StatsRegistry::addCounter(const std::string &name, std::string desc)
-{
-    return insert(name, std::move(desc)).value.emplace<Counter>();
-}
-
-Gauge &
-StatsRegistry::addGauge(const std::string &name, std::string desc)
-{
-    return insert(name, std::move(desc)).value.emplace<Gauge>();
-}
-
 Distribution &
 StatsRegistry::addDistribution(const std::string &name, std::string desc)
 {
     return insert(name, std::move(desc)).value.emplace<Distribution>();
-}
-
-Histogram &
-StatsRegistry::addHistogram(const std::string &name, std::string desc,
-                            double lo, double hi, std::size_t bins)
-{
-    return insert(name, std::move(desc))
-        .value.emplace<Histogram>(lo, hi, bins);
 }
 
 void
@@ -149,9 +118,10 @@ StatsRegistry::contains(const std::string &name) const
     return entries.find(name) != entries.end();
 }
 
-void
-StatsRegistry::dumpText(std::ostream &os) const
+std::string
+StatsRegistry::renderText() const
 {
+    std::ostringstream os;
     for (const auto &[name, entry] : entries) {
         std::vector<Cell> cells;
         expand(entry.value, cells);
@@ -165,11 +135,13 @@ StatsRegistry::dumpText(std::ostream &os) const
             os << '\n';
         }
     }
+    return os.str();
 }
 
-void
-StatsRegistry::dumpJson(std::ostream &os) const
+std::string
+StatsRegistry::renderJson() const
 {
+    std::ostringstream os;
     os << "{\n";
     bool first = true;
     for (const auto &[name, entry] : entries) {
@@ -192,21 +164,6 @@ StatsRegistry::dumpJson(std::ostream &os) const
         }
     }
     os << "\n}\n";
-}
-
-std::string
-StatsRegistry::renderText() const
-{
-    std::ostringstream os;
-    dumpText(os);
-    return os.str();
-}
-
-std::string
-StatsRegistry::renderJson() const
-{
-    std::ostringstream os;
-    dumpJson(os);
     return os.str();
 }
 

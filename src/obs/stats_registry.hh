@@ -8,14 +8,10 @@
  * (std::map order, so dumps are deterministic by construction) to
  * text and JSON.
  *
- * Four value kinds:
- *  - Counter       monotonically increasing integer;
- *  - Gauge         instantaneous double;
- *  - Distribution  SummaryStats (count/mean/stdev/min/max);
- *  - Histogram     fixed-bin histogram from stats/histogram.hh;
- * plus callback stats, which read a component counter lazily at dump
- * time and therefore cost nothing during simulation — the preferred
- * form for anything a component already tracks.
+ * Three value kinds: integer and double callbacks, which read a
+ * component counter lazily at dump time and therefore cost nothing
+ * during simulation, and an owned Distribution (SummaryStats:
+ * count/mean/variance/min/max) for values no component keeps.
  *
  * Determinism policy (see DESIGN.md "Observability layer"): only
  * simulation state is registered, never a host-side measurement, so
@@ -29,46 +25,15 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <ostream>
 #include <string>
 #include <variant>
 
-#include "stats/histogram.hh"
 #include "stats/summary.hh"
 
 namespace mcd
 {
 namespace obs
 {
-
-/** Monotonically increasing event count. */
-class Counter
-{
-  public:
-    Counter &operator++()
-    {
-        ++n;
-        return *this;
-    }
-
-    void add(std::uint64_t delta) { n += delta; }
-    std::uint64_t value() const { return n; }
-    void reset() { n = 0; }
-
-  private:
-    std::uint64_t n = 0;
-};
-
-/** Instantaneous scalar. */
-class Gauge
-{
-  public:
-    void set(double value) { v = value; }
-    double value() const { return v; }
-
-  private:
-    double v = 0.0;
-};
 
 /** Streaming distribution (Welford summary). */
 class Distribution
@@ -96,14 +61,9 @@ class StatsRegistry
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
-    /** @{ Register an owned stat under @p name. */
-    Counter &addCounter(const std::string &name, std::string desc);
-    Gauge &addGauge(const std::string &name, std::string desc);
+    /** Register an owned distribution under @p name. */
     Distribution &addDistribution(const std::string &name,
                                   std::string desc);
-    Histogram &addHistogram(const std::string &name, std::string desc,
-                            double lo, double hi, std::size_t bins);
-    /** @} */
 
     /** @{ Register a dump-time read of an existing component counter.
      *  The callback must outlive the registry's last dump. */
@@ -119,23 +79,19 @@ class StatsRegistry
     /**
      * Render every stat, sorted by name, one line per scalar:
      *   <name> <value> # <desc>
-     * Distributions and histograms expand into dotted sub-keys
-     * (.count/.mean/.stdev/.min/.max, .bin<i>/.underflow/...).
+     * Distributions expand into dotted sub-keys
+     * (.count/.mean/.variance/.min/.max).
      */
-    void dumpText(std::ostream &os) const;
+    std::string renderText() const;
 
     /** Flat JSON object keyed by dotted stat name, sorted. */
-    void dumpJson(std::ostream &os) const;
-
-    std::string renderText() const;
     std::string renderJson() const;
 
   private:
     struct Entry
     {
         std::string desc;
-        std::variant<Counter, Gauge, Distribution, Histogram,
-                     std::function<std::uint64_t()>,
+        std::variant<Distribution, std::function<std::uint64_t()>,
                      std::function<double()>>
             value;
     };

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel-vs-serial determinism: the execution layer promises that a
- * suite executed through the worker pool is byte-identical to the
+ * suite fanned out over eight threads is byte-identical to the
  * same suite executed serially. This runs the same spec list through
  * Campaign (the harnesses' launch path) under MCDSIM_JOBS=1 and
  * MCDSIM_JOBS=8 (the environment path the harness knob uses) and

@@ -1,13 +1,20 @@
-/** @file Tests for ParallelRunner and the jobs configuration knob. */
+/**
+ * @file Tests for ParallelRunner, its ExecProfile and the jobs
+ * configuration knob.
+ */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/report.hh"
+#include "dvfs/fixed_controller.hh"
+#include "exec/exec_profile.hh"
 #include "exec/parallel_runner.hh"
 
 namespace mcd
@@ -131,6 +138,73 @@ TEST(ParallelRunner, TaskSeedOverridesSharedOptions)
         << "per-task seed had no effect";
 }
 
+TEST(ParallelRunner, EveryTaskRunsExactlyOnce)
+{
+    // Far more tasks than workers, each with its own options whose
+    // controller factory counts its calls: a task run twice, or not
+    // at all, shows up as a count other than one per controlled
+    // domain.
+    constexpr std::size_t n = 48;
+    std::vector<std::atomic<int>> calls(n);
+    std::vector<RunTask> tasks;
+    for (std::size_t i = 0; i < n; ++i) {
+        RunOptions opts;
+        opts.instructions = 3000;
+        opts.config.customController =
+            [&calls, i](std::size_t, const VfCurve &) {
+                ++calls[i];
+                return std::make_unique<FixedController>();
+            };
+        tasks.push_back({i % 2 ? "gzip" : "mcf", RunKind::Scheme,
+                         ControllerKind::Custom, 1 + i,
+                         std::make_shared<const RunOptions>(opts)});
+    }
+
+    const auto parallel = results(ParallelRunner(8).runOutcomes(tasks));
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(calls[i].exchange(0), 3) << "task " << i;
+
+    const auto serial = results(ParallelRunner(1).runOutcomes(tasks));
+    ASSERT_EQ(parallel.size(), n);
+    ASSERT_EQ(serial.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(calls[i].load(), 3) << "task " << i;
+        EXPECT_EQ(serialize(parallel[i]), serialize(serial[i]))
+            << "task " << i;
+    }
+}
+
+TEST(ParallelRunner, ZeroJobsCountsAsOne)
+{
+    EXPECT_EQ(ParallelRunner(0).jobs(), 1u);
+}
+
+TEST(ExecProfile, RecordsOneEntryPerTask)
+{
+    const auto tasks = mixedTasks();
+    for (const std::size_t jobs : {1u, 4u}) {
+        ExecProfile profile;
+        ParallelRunner runner(jobs);
+        runner.setProfile(&profile);
+        results(runner.runOutcomes(tasks));
+        EXPECT_EQ(profile.execSummary().count(), tasks.size())
+            << "jobs " << jobs;
+        EXPECT_EQ(profile.waitSummary().count(), tasks.size())
+            << "jobs " << jobs;
+        if (jobs == 1) {
+            EXPECT_EQ(profile.waitSummary().max(), 0.0);
+        }
+    }
+
+    // One task never queues, whatever the jobs count.
+    ExecProfile single;
+    ParallelRunner runner(4);
+    runner.setProfile(&single);
+    results(runner.runOutcomes({tasks.front()}));
+    EXPECT_EQ(single.waitSummary().count(), 1u);
+    EXPECT_EQ(single.waitSummary().max(), 0.0);
+}
+
 TEST(ConfiguredJobs, OverrideBeatsEnvironment)
 {
     ScopedEnv env("MCDSIM_JOBS", "2");
@@ -151,8 +225,10 @@ TEST(ConfiguredJobs, MalformedEnvironmentFallsBackToHardware)
         hw = configuredJobs();
     }
     EXPECT_GE(hw, 1u);
-    ScopedEnv env("MCDSIM_JOBS", "not-a-number");
-    EXPECT_EQ(configuredJobs(), hw);
+    for (const char *bad : {"not-a-number", "0", "12x", "-3", " 4"}) {
+        ScopedEnv env("MCDSIM_JOBS", bad);
+        EXPECT_EQ(configuredJobs(), hw) << "MCDSIM_JOBS='" << bad << "'";
+    }
 }
 
 } // namespace

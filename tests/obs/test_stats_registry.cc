@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/check.hh"
 #include "obs/stats_registry.hh"
 
@@ -15,25 +17,22 @@ using obs::StatsRegistry;
 TEST(StatsRegistry, OwnedStatsRoundTrip)
 {
     StatsRegistry reg;
-    auto &c = reg.addCounter("sim.events", "kernel events");
-    auto &g = reg.addGauge("int.clock.freq_ghz", "frequency");
     auto &d = reg.addDistribution("int.queue.occ", "occupancy");
-    auto &h = reg.addHistogram("int.queue.hist", "occupancy bins", 0.0,
-                               16.0, 4);
-    ++c;
-    c.add(9);
-    g.set(0.75);
+    reg.addIntCallback("sim.events", "kernel events",
+                       [] { return std::uint64_t{10}; });
+    reg.addCallback("int.clock.freq_ghz", "frequency", [] { return 0.75; });
     d.add(2.0);
     d.add(4.0);
-    h.add(1.0);
 
-    EXPECT_EQ(c.value(), 10u);
-    EXPECT_DOUBLE_EQ(g.value(), 0.75);
     EXPECT_EQ(d.summary().count(), 2u);
-    EXPECT_EQ(h.totalCount(), 1u);
-    EXPECT_EQ(reg.size(), 4u);
+    EXPECT_EQ(reg.size(), 3u);
     EXPECT_TRUE(reg.contains("sim.events"));
+    EXPECT_TRUE(reg.contains("int.queue.occ"));
     EXPECT_FALSE(reg.contains("sim.missing"));
+    const std::string text = reg.renderText();
+    EXPECT_NE(text.find("sim.events 10 # kernel events"), std::string::npos);
+    EXPECT_NE(text.find("int.clock.freq_ghz 0.75"), std::string::npos);
+    EXPECT_NE(text.find("int.queue.occ.count 2"), std::string::npos);
 }
 
 TEST(StatsRegistry, CallbacksReadAtDumpTime)
@@ -49,9 +48,10 @@ TEST(StatsRegistry, CallbacksReadAtDumpTime)
 TEST(StatsRegistry, TextDumpIsSortedByName)
 {
     StatsRegistry reg;
-    reg.addCounter("zeta.x", "late");
-    reg.addCounter("alpha.x", "early");
-    reg.addCounter("fp.clock.cycles", "middle");
+    const auto zero = [] { return std::uint64_t{0}; };
+    reg.addIntCallback("zeta.x", "late", zero);
+    reg.addIntCallback("alpha.x", "early", zero);
+    reg.addIntCallback("fp.clock.cycles", "middle", zero);
     const std::string text = reg.renderText();
     const auto a = text.find("alpha.x");
     const auto f = text.find("fp.clock.cycles");
@@ -76,8 +76,8 @@ TEST(StatsRegistry, DistributionExpandsIntoSubKeys)
 TEST(StatsRegistry, JsonIsFlatAndKeyedByName)
 {
     StatsRegistry reg;
-    reg.addCounter("a.b", "x");
-    reg.addGauge("a.c", "y").set(2.5);
+    reg.addIntCallback("a.b", "x", [] { return std::uint64_t{0}; });
+    reg.addCallback("a.c", "y", [] { return 2.5; });
     const std::string json = reg.renderJson();
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '\n');
@@ -89,10 +89,10 @@ TEST(StatsRegistryDeath, RejectsDuplicateAndInvalidNames)
 {
     ScopedCheckThrower throwing;
     StatsRegistry reg;
-    reg.addCounter("dup", "first");
-    EXPECT_THROW(reg.addCounter("dup", "second"), CheckFailure);
-    EXPECT_THROW(reg.addCounter("", "empty"), CheckFailure);
-    EXPECT_THROW(reg.addCounter("has space", "ws"), CheckFailure);
+    reg.addDistribution("dup", "first");
+    EXPECT_THROW(reg.addDistribution("dup", "second"), CheckFailure);
+    EXPECT_THROW(reg.addDistribution("", "empty"), CheckFailure);
+    EXPECT_THROW(reg.addDistribution("has space", "ws"), CheckFailure);
 }
 
 } // namespace
