@@ -2,28 +2,7 @@
  * @file
  * Command-line front end to the library: run any benchmark under any
  * scheme, optionally sweep the whole suite, and emit human tables,
- * CSV, or JSON.
- *
- * Usage:
- *   mcdsim_cli [options]
- *     --bench NAME|all      benchmark profile (default epic_decode)
- *     --scheme NAME         adaptive|pid|attack-decay|fixed (default adaptive)
- *     --insts N             instructions per run (default 600000)
- *     --seed N              workload seed (default 1)
- *     --baseline            also run the MCD baseline and print deltas
- *                           (human output only)
- *     --csv                 CSV output (one row per run)
- *     --json                JSON output (single run only)
- *     --save-trace PATH     write the generated trace to a file and exit
- *                           (takes only --bench, --insts and --seed)
- *     --list                list benchmark profiles and exit
- *
- * A combination that would ignore a flag is a config error.
- *
- * Run-cache maintenance (store at --cache-dir or MCDSIM_CACHE_DIR):
- *   mcdsim_cli cache stats [--cache-dir PATH]
- *   mcdsim_cli cache gc --max-bytes N [--cache-dir PATH]
- *   mcdsim_cli cache clear [--cache-dir PATH]
+ * CSV, or JSON. The options are in `usage` below, which --help prints.
  */
 
 #include <cstdio>
@@ -37,6 +16,26 @@
 
 namespace
 {
+
+const char usage[] = R"(usage: mcdsim_cli [options]
+  --bench NAME|all      benchmark profile (default epic_decode)
+  --scheme NAME         adaptive|pid|attack-decay|fixed (default adaptive)
+  --insts N             instructions per run (default 600000)
+  --seed N              workload seed (default 1)
+  --baseline            also run the MCD baseline and print deltas
+                        (human output only)
+  --csv                 CSV output (one row per run)
+  --json                JSON output (single run only)
+  --list                list benchmark profiles and exit
+  --help, -h            print this text and exit
+
+A combination that would ignore a flag is a config error.
+
+Run-cache maintenance (store at --cache-dir or MCDSIM_CACHE_DIR):
+  mcdsim_cli cache stats [--cache-dir PATH]
+  mcdsim_cli cache gc --max-bytes N [--cache-dir PATH]
+  mcdsim_cli cache clear [--cache-dir PATH]
+)";
 
 void
 printHuman(const mcd::SimResult &r)
@@ -125,12 +124,11 @@ try {
         return cacheCommand(argc, argv);
 
     std::string bench = "epic_decode";
-    std::string scheme;
+    std::string scheme = "adaptive";
     mcd::RunOptions opts;
     opts.instructions = 600'000;
     bool with_baseline = false;
     bool csv = false, json = false;
-    std::string save_trace;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -153,8 +151,6 @@ try {
             csv = true;
         } else if (arg == "--json") {
             json = true;
-        } else if (arg == "--save-trace") {
-            save_trace = value();
         } else if (arg == "--list") {
             for (const auto &b : mcd::benchmarkList()) {
                 std::printf("%-12s %-12s %-5s %s\n", b.name.c_str(),
@@ -164,8 +160,7 @@ try {
             }
             return 0;
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("see the header comment of examples/"
-                        "mcdsim_cli.cpp for options\n");
+            std::fputs(usage, stdout);
             return 0;
         } else {
             mcd::fatal("unknown option '%s' (try --help)", arg.c_str());
@@ -181,19 +176,6 @@ try {
     conflict(with_baseline && csv, "--baseline", "--csv");
     conflict(with_baseline && json, "--baseline", "--json");
     conflict(csv && json, "--json", "--csv");
-    if (!save_trace.empty()) {
-        conflict(!scheme.empty(), "--save-trace", "--scheme");
-        conflict(with_baseline, "--save-trace", "--baseline");
-        conflict(csv, "--save-trace", "--csv");
-        conflict(json, "--save-trace", "--json");
-        auto src =
-            mcd::makeBenchmark(bench, opts.instructions, opts.seed);
-        const auto n = mcd::writeTraceFile(save_trace, *src);
-        std::printf("wrote %llu instructions of '%s' to %s\n",
-                    static_cast<unsigned long long>(n), bench.c_str(),
-                    save_trace.c_str());
-        return 0;
-    }
 
     std::vector<std::string> names;
     if (bench == "all") {
@@ -206,8 +188,8 @@ try {
     if (json && names.size() != 1)
         throw mcd::ConfigError("--json", "supports a single run");
 
-    const mcd::ControllerKind kind = mcd::parseControllerKind(
-        scheme.empty() ? "adaptive" : scheme, "--scheme");
+    const mcd::ControllerKind kind =
+        mcd::parseControllerKind(scheme, "--scheme");
     std::vector<mcd::SimResult> results;
     for (const auto &n : names) {
         mcd::SimResult r = mcd::run(mcd::schemeSpec(n, kind, opts));
@@ -234,7 +216,7 @@ try {
     }
     return 0;
 } catch (const mcd::McdError &e) {
-    // Library errors (unknown benchmark, unreadable trace, ...) are
+    // Library errors (unknown benchmark, malformed spec, ...) are
     // user errors at the CLI surface: exit 1 cleanly, don't abort.
     mcd::fatal("%s", e.what());
 }

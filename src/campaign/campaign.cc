@@ -1,5 +1,6 @@
 #include "campaign/campaign.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -123,6 +124,12 @@ expandCampaign(const CampaignSpec &spec)
         !spec.includeSyncBaseline)
         throw ConfigError("campaign",
                           "no schemes and no baselines: nothing to run");
+    if (spec.includeMcdBaseline &&
+        std::find(spec.schemes.begin(), spec.schemes.end(),
+                  ControllerKind::Fixed) != spec.schemes.end())
+        throw ConfigError("campaign",
+                          "scheme 'fixed' is the MCD baseline the "
+                          "campaign already runs");
 
     std::vector<std::uint64_t> seeds = spec.seeds;
     if (seeds.empty())

@@ -62,7 +62,8 @@ struct CampaignSpec
 /**
  * The campaign's RunSpecs in canonical order: seed-major, then
  * benchmark, then [mcd-baseline, sync-baseline, schemes...]. Throws
- * ConfigError when the spec expands to nothing.
+ * ConfigError when the spec expands to nothing, or when it lists the
+ * fixed scheme beside the MCD baseline, which is that same run.
  */
 std::vector<RunSpec> expandCampaign(const CampaignSpec &spec);
 

@@ -2,7 +2,7 @@
  * @file
  * Structured error taxonomy for mcdsim.
  *
- * Every recoverable failure in the library throws one of four
+ * Every recoverable failure in the library throws one of three
  * McdError subclasses so callers (the execution layer's graceful
  * degradation above all) can attribute a failed run to a layer
  * without string-matching what():
@@ -10,17 +10,15 @@
  *   ConfigError — the requested configuration cannot be built
  *                 (unknown benchmark, malformed fault spec, invalid
  *                 parameter). The run never starts.
- *   TraceError  — trace ingestion failed (unreadable file, bad
- *                 header, corrupt record). Carries the record index.
  *   SimError    — the simulation itself stopped (violated budget,
  *                 exceeded deadline). Sites "event-budget" and
  *                 "deadline" are mapped to RunStatus::TimedOut by
  *                 the execution layer.
  *   ExecError   — the execution layer failed a run (injected task
- *                 fault, leaked worker exceptions).
+ *                 fault).
  *
  * Each error carries a `site` (a short stable identifier such as
- * "task-throw" or "trace-record" — fault-injection sites reuse their
+ * "task-throw" or "event-budget" — fault-injection sites reuse their
  * FaultSite spelling) and free-form `context`. what() renders
  * "<category> error at <site>: <context>".
  *
@@ -32,7 +30,6 @@
 #ifndef MCDSIM_COMMON_ERROR_HH
 #define MCDSIM_COMMON_ERROR_HH
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -51,7 +48,7 @@ class McdError : public std::runtime_error
           _context(std::move(context))
     {}
 
-    /** "config", "trace", "sim", or "exec". */
+    /** "config", "sim", or "exec". */
     const std::string &category() const { return _category; }
 
     /** Stable identifier of the failing site. */
@@ -73,25 +70,6 @@ class ConfigError : public McdError
     ConfigError(std::string site, std::string context)
         : McdError("config", std::move(site), std::move(context))
     {}
-};
-
-/** Trace ingestion failed. recordIndex() is the 0-based record (the
- *  binary format's "line number"); header/open failures use noRecord. */
-class TraceError : public McdError
-{
-  public:
-    static constexpr std::uint64_t noRecord = ~std::uint64_t(0);
-
-    TraceError(std::string site, std::string context,
-               std::uint64_t record_index = noRecord)
-        : McdError("trace", std::move(site), std::move(context)),
-          _record(record_index)
-    {}
-
-    std::uint64_t recordIndex() const { return _record; }
-
-  private:
-    std::uint64_t _record;
 };
 
 /** The simulation stopped before completing its run. */

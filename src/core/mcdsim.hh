@@ -53,10 +53,8 @@
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "spectrum/psd.hh"
-#include "stats/histogram.hh"
 #include "stats/summary.hh"
 #include "stats/time_series.hh"
 #include "workload/benchmarks.hh"
-#include "workload/trace_file.hh"
 
 #endif // MCDSIM_CORE_MCDSIM_HH

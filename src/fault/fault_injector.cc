@@ -164,21 +164,6 @@ FaultInjector::clampTarget(std::size_t dom, double target_hz)
     return target_hz;
 }
 
-bool
-FaultInjector::corruptTraceRecord()
-{
-    bool corrupt = false;
-    for (std::size_t i :
-         _bySite[static_cast<std::size_t>(FaultSite::TraceCorrupt)]) {
-        Arm &arm = _arms[i];
-        if (fires(arm, 0)) {
-            corrupt = true;
-            ++_injected[static_cast<std::size_t>(FaultSite::TraceCorrupt)];
-        }
-    }
-    return corrupt;
-}
-
 std::uint64_t
 FaultInjector::injectedTotal() const
 {

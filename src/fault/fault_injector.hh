@@ -83,9 +83,6 @@ class FaultInjector
     /** clamp-vf: the target the driver is allowed to request, Hz. */
     double clampTarget(std::size_t dom, double target_hz);
 
-    /** trace-corrupt: true when the next trace record is corrupted. */
-    bool corruptTraceRecord();
-
     // ---- Accounting ---------------------------------------------
 
     /** Faults injected at @p site so far this attempt. */

@@ -23,7 +23,6 @@ constexpr SiteInfo siteTable[numFaultSites] = {
     {"drop-update", FaultSite::DropUpdate},
     {"delay-update", FaultSite::DelayUpdate},
     {"clamp-vf", FaultSite::ClampVf},
-    {"trace-corrupt", FaultSite::TraceCorrupt},
     {"task-throw", FaultSite::TaskThrow},
     {"task-slow", FaultSite::TaskSlow},
 };

@@ -19,8 +19,6 @@
  *                  DVFS driver
  *   clamp-vf       lo=<GHz> hi=<GHz> [dom=]     requested targets are
  *                  clamped into [lo, hi] at the driver
- *   trace-corrupt  [rate=]            a trace-file record is corrupted
- *                  (invalid class byte) as it is read
  *   task-throw     [bench=] [scheme=] [attempts=]  the matching run
  *                  throws ExecError before simulating
  *   task-slow      spin=<iters> [bench=] [scheme=] [attempts=]  the
@@ -56,12 +54,11 @@ enum class FaultSite : std::uint8_t
     DropUpdate,
     DelayUpdate,
     ClampVf,
-    TraceCorrupt,
     TaskThrow,
     TaskSlow,
 };
 
-constexpr std::size_t numFaultSites = 7;
+constexpr std::size_t numFaultSites = 6;
 
 /** Spec-string spelling of @p site ("sensor-noise", ...). */
 const char *faultSiteName(FaultSite site);

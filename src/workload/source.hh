@@ -22,9 +22,10 @@ class WorkloadSource
     virtual ~WorkloadSource() = default;
 
     /**
-     * Attach a fault injector (trace-corrupt site). The default is a
-     * no-op; file-backed sources override it. @p injector may be null
-     * or outlive the source's last next() call.
+     * Attach the run's fault injector. No in-tree source consumes
+     * faults, so the default is a no-op; a wrapping source overrides
+     * it to forward the injector. @p injector may be null or outlive
+     * the source's last next() call.
      */
     virtual void attachFaults(FaultInjector *injector) { (void)injector; }
 

@@ -89,6 +89,24 @@ TEST(CampaignExpand, OrderAndValidation)
     EXPECT_EQ(expandCampaign(seeded).size(), 12u);
 }
 
+TEST(CampaignExpand, RejectsFixedSchemeBesideMcdBaseline)
+{
+    // The fixed scheme is the MCD baseline: listing it beside the
+    // baseline would run every benchmark twice and compare the run
+    // with itself.
+    CampaignSpec spec = quickCampaign();
+    spec.schemes.push_back(ControllerKind::Fixed);
+    try {
+        expandCampaign(spec);
+        FAIL() << "accepted fixed beside the MCD baseline";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.site(), "campaign");
+    }
+
+    spec.includeMcdBaseline = false;
+    EXPECT_EQ(expandCampaign(spec).size(), 6u);
+}
+
 TEST(CampaignShard, ParseAndPartition)
 {
     const Shard s = parseShard("2/3");

@@ -26,13 +26,12 @@ TEST(ErrorTaxonomy, EveryCategoryIsAnMcdErrorAndRuntimeError)
 {
     // Callers catch McdError to attribute a failure to a layer, or
     // std::exception for the generic path; both must work for all
-    // four categories.
+    // three categories.
     const auto check = [](const McdError &e, const char *category) {
         EXPECT_EQ(e.category(), category);
         EXPECT_NE(dynamic_cast<const std::runtime_error *>(&e), nullptr);
     };
     check(ConfigError("s", "c"), "config");
-    check(TraceError("s", "c"), "trace");
     check(SimError("s", "c"), "sim");
     check(ExecError("s", "c"), "exec");
 }
@@ -45,14 +44,6 @@ TEST(ErrorTaxonomy, CatchingBaseClassPreservesDerivedData)
         EXPECT_EQ(e.category(), "sim");
         EXPECT_EQ(e.site(), "event-budget");
     }
-}
-
-TEST(ErrorTaxonomy, TraceErrorCarriesRecordIndex)
-{
-    const TraceError with("trace-record", "bad class", 41);
-    EXPECT_EQ(with.recordIndex(), 41u);
-    const TraceError without("trace-open", "cannot open");
-    EXPECT_EQ(without.recordIndex(), TraceError::noRecord);
 }
 
 TEST(ErrorTaxonomy, SubcategoriesAreDistinctTypes)

@@ -28,10 +28,9 @@ TEST(FaultPlan, ParsesFullGrammar)
         "drop-update:rate=0.25;"
         "delay-update:samples=3,dom=fp;"
         "clamp-vf:lo=0.5,hi=0.8,dom=ls;"
-        "trace-corrupt:rate=0.01;"
         "task-throw:bench=gzip,scheme=adaptive,attempts=2;"
         "task-slow:spin=1000");
-    ASSERT_EQ(plan.specs().size(), 7u);
+    ASSERT_EQ(plan.specs().size(), 6u);
 
     const FaultSpec &noise = plan.specs()[0];
     EXPECT_EQ(noise.site, FaultSite::SensorNoise);
@@ -41,7 +40,7 @@ TEST(FaultPlan, ParsesFullGrammar)
     EXPECT_TRUE(noise.matchesDomain(0));
     EXPECT_FALSE(noise.matchesDomain(1));
 
-    const FaultSpec &thr = plan.specs()[5];
+    const FaultSpec &thr = plan.specs()[4];
     EXPECT_EQ(thr.site, FaultSite::TaskThrow);
     EXPECT_EQ(thr.benchmark, "gzip");
     EXPECT_EQ(thr.scheme, "adaptive");
@@ -83,6 +82,7 @@ TEST(FaultPlan, RejectsMalformedSpecs)
         }
     };
     reject("meteor-strike");                  // unknown site
+    reject("trace-corrupt");                  // retired site
     reject("sensor-noise:amp=2,color=red");   // unknown key
     reject("sensor-noise:amp=abc");           // malformed number
     reject("sensor-noise:amp");               // missing '='

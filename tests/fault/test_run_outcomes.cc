@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -170,6 +172,41 @@ TEST(RunOutcomes, SimFaultsChangeResultsDeterministically)
     const RunOutcome clean = runTaskOutcome(gzipTask(smallOpts()));
     // Noise on the controller's sensor must actually change the run.
     EXPECT_NE(resultCsvRow(a.result), resultCsvRow(clean.result));
+}
+
+TEST(RunOutcomes, EverySimFaultSiteFires)
+{
+    // A site the simulator never reaches would parse, run and change
+    // nothing. Every simulation-level site needs an entry here, and
+    // one short run under it must count at least one injection.
+    const std::map<std::string, std::string> specs = {
+        {"sensor-noise", "sensor-noise:amp=2"},
+        {"drop-update", "drop-update"},
+        {"delay-update", "delay-update:samples=2"},
+        {"clamp-vf", "clamp-vf:lo=0.5,hi=0.8"},
+    };
+    for (std::size_t i = 0; i < numFaultSites; ++i) {
+        const std::string site = faultSiteName(static_cast<FaultSite>(i));
+        if (site == "task-throw" || site == "task-slow")
+            continue; // exec-level: fired by the runner, not the model
+        const auto spec = specs.find(site);
+        if (spec == specs.end()) {
+            ADD_FAILURE() << "no spec for fault site '" << site << "'";
+            continue;
+        }
+        RunOptions opts = smallOpts(4000);
+        opts.collectStats = true;
+        opts.config.faults = FaultPlan::parseShared(spec->second);
+        const SimResult r =
+            run(schemeSpec("gzip", ControllerKind::Adaptive, opts));
+
+        std::string key = "fault." + site + "_injected ";
+        std::replace(key.begin(), key.end(), '-', '_');
+        const auto pos = r.statsText.find(key);
+        ASSERT_NE(pos, std::string::npos) << "stats dump missing " << key;
+        EXPECT_GT(std::stoull(r.statsText.substr(pos + key.size())), 0u)
+            << spec->second;
+    }
 }
 
 TEST(RunOutcomes, RetryRecoversFromFirstAttemptFault)

@@ -17,6 +17,10 @@ Two checks, one harness binary per invocation:
                     --cache read rerun prints byte-identical stdout with
                     every run served from the cache;
                     --faults task-throw exits 1 and names failed runs;
+                    --faults drop-update --stats-out P counts nonzero
+                    fault.drop_update_injected in P (not for a
+                    --fault-sweep harness, whose sweep sets the plan);
+                    --faults no-such-site exits 2;
                     --faults task-throw:attempts=1 --retries 1 exits 0
                     with the plain run's stdout (bench_campaign's CSV
                     reports retried_ok/2 in its status columns; a
@@ -44,6 +48,7 @@ SUMMARY_RE = re.compile(
     r"\((\d+) executed, (\d+) cached, (\d+) failed\)")
 FAILED_RUN_RE = re.compile(r"^  \S+/\S+: failed ", re.MULTILINE)
 TIMED_OUT_RE = re.compile(r"^  \S+/\S+: timed_out ", re.MULTILINE)
+DROPPED_RE = re.compile(r"^fault\.drop_update_injected (\d+)", re.MULTILINE)
 
 # Every flag of the shared option table, with a valid value.
 SIM_FLAGS = [
@@ -120,6 +125,9 @@ def check_sim(binary, env, tmp, fault_sweep=False):
         raise Failure("--faults task-throw named no failed run:\n"
                       + thrown.stderr[-2000:])
 
+    unknown = run(binary, base + ["--faults", "no-such-site"], env)
+    expect_exit(unknown, 2, "--faults no-such-site")
+
     retried = run(binary, base + ["--faults", "task-throw:attempts=1",
                                   "--retries", "1"], env)
     expect_exit(retried, 0, "--faults task-throw:attempts=1 --retries 1")
@@ -139,6 +147,16 @@ def check_sim(binary, env, tmp, fault_sweep=False):
     for path in (stats, stats + ".json"):
         if not os.path.isfile(path) or os.path.getsize(path) == 0:
             raise Failure(f"--stats-out did not write {path}")
+
+    if not fault_sweep:
+        dropped = run(binary, base + ["--faults", "drop-update",
+                                      "--stats-out", stats], env)
+        expect_exit(dropped, 0, "--faults drop-update --stats-out")
+        with open(stats) as f:
+            counts = [int(n) for n in DROPPED_RE.findall(f.read())]
+        if sum(counts) == 0:
+            raise Failure("--faults drop-update injected nothing "
+                          f"(fault.drop_update_injected {counts})")
     return "sim flags honoured"
 
 
