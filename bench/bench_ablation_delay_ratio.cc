@@ -15,9 +15,9 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
-    mcdbench::banner("ABLATION A2", "Delay ratio T_m0 / T_l0");
-
     const RunOptions opts = mcdbench::runOptions(400000);
+
+    mcdbench::banner("ABLATION A2", "Delay ratio T_m0 / T_l0");
 
     const std::vector<std::string> names = {"mpeg2_dec", "epic_decode",
                                             "gzip"};

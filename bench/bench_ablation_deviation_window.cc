@@ -15,6 +15,8 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions(400000);
+
     mcdbench::banner("ABLATION A1", "Deviation-window size");
 
     // Part 1: spurious-action rate on a noisy queue at reference.
@@ -47,7 +49,6 @@ main(int argc, char **argv)
     std::printf("%-12s %6s | %8s %8s %8s\n", "benchmark", "DW",
                 "E-sav%", "P-deg%", "EDP+%");
     mcdbench::rule(52);
-    const RunOptions opts = mcdbench::runOptions(400000);
 
     const std::vector<const char *> names = {"mpeg2_dec", "adpcm_enc"};
     const std::vector<double> windows = {0.0, 1.0, 3.0};

@@ -17,11 +17,11 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions(400000);
+
     mcdbench::banner("ABLATION A5",
                      "4-domain (Semeraro) vs 5-domain "
                      "(Iyer-Marculescu) partition");
-
-    const RunOptions opts = mcdbench::runOptions(400000);
 
     std::printf("%-12s %-8s | %12s | %8s %8s %8s\n", "benchmark",
                 "partition", "baseline-ms", "E-sav%", "P-deg%",

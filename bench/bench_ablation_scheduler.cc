@@ -14,10 +14,10 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions(400000);
+
     mcdbench::banner("ABLATION A3",
                      "Scheduler reconciliation and switch-freeze");
-
-    const RunOptions opts = mcdbench::runOptions(400000);
 
     struct Variant
     {

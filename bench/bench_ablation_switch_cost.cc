@@ -16,10 +16,10 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions(400000);
+
     mcdbench::banner("ABLATION A4",
                      "XScale-style vs Transmeta-style switching cost");
-
-    const RunOptions opts = mcdbench::runOptions(400000);
 
     struct Variant
     {

@@ -55,11 +55,11 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions(400000);
+
     mcdbench::banner("ENERGY BREAKDOWN",
                      "Per-domain, per-category joules (uJ): baseline "
                      "vs adaptive");
-
-    const RunOptions opts = mcdbench::runOptions(400000);
 
     const std::vector<const char *> names = {"adpcm_enc", "swim"};
     std::vector<RunSpec> specs;

@@ -37,11 +37,11 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions();
+
     mcdbench::banner("FAST-VARYING GROUP",
                      "Adaptive vs fixed-interval schemes by "
                      "workload-variability class");
-
-    const RunOptions opts = mcdbench::runOptions();
 
     const std::vector<ControllerKind> kinds = {
         ControllerKind::Adaptive, ControllerKind::Pid,

@@ -16,11 +16,12 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    RunOptions opts = mcdbench::runOptions(1000000);
+    opts.recordTraces = true;
+
     mcdbench::banner("FIGURE 7",
                      "epic_decode FP-domain frequency trace (adaptive)");
 
-    RunOptions opts = mcdbench::runOptions(1000000);
-    opts.recordTraces = true;
     const SimResult r = std::move(mcdbench::runAll(
         {schemeSpec("epic_decode", ControllerKind::Adaptive, opts)})[0]);
 

@@ -18,13 +18,14 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    RunOptions opts = mcdbench::runOptions(600000);
+    opts.recordTraces = true;
+    opts.config.traceStride = 1;
+
     mcdbench::banner(
         "FIGURE 8",
         "epic_decode INT-queue variance spectrum (multitaper)");
 
-    RunOptions opts = mcdbench::runOptions(600000);
-    opts.recordTraces = true;
-    opts.config.traceStride = 1;
     const SimResult r = std::move(
         mcdbench::runAll({mcdBaselineSpec("epic_decode", opts)})[0]);
 

@@ -20,10 +20,10 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions();
+
     mcdbench::banner("INTERVAL SENSITIVITY",
                      "PID [23] with shorter intervals vs adaptive");
-
-    const RunOptions opts = mcdbench::runOptions();
 
     const auto group = mcdbench::fastVaryingBenchmarks();
     // Intervals in sampling periods: 10 us down to 0.625 us.

@@ -28,11 +28,12 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions();
+
     mcdbench::banner("MAIN COMPARISON",
                      "Energy savings / performance degradation vs "
                      "MCD full-speed baseline");
 
-    const RunOptions opts = mcdbench::runOptions();
     std::printf("(instructions per run: %llu; set MCDSIM_INSTS to "
                 "change)\n\n",
                 static_cast<unsigned long long>(opts.instructions));

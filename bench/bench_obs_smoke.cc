@@ -16,10 +16,10 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions(20000);
+
     mcdbench::banner("OBS SMOKE",
                      "short traced sweep for artifact validation");
-
-    const RunOptions opts = mcdbench::runOptions(20000);
 
     const std::vector<const char *> names = {"epic_decode", "gcc"};
     std::vector<RunSpec> specs;

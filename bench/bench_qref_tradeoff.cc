@@ -20,11 +20,11 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    const RunOptions opts = mcdbench::runOptions(400000);
+
     mcdbench::banner("QREF TRADEOFF",
                      "Reference queue point vs energy/performance "
                      "(Section 3)");
-
-    const RunOptions opts = mcdbench::runOptions(400000);
 
     struct Setting
     {

@@ -93,12 +93,13 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
+    RunOptions base = mcdbench::runOptions(300000);
+    base.recordTraces = true;
+
     mcdbench::banner("ROBUSTNESS",
                      "Controller stability under injected sensor noise "
                      "and dropped updates");
 
-    RunOptions base = mcdbench::runOptions(300000);
-    base.recordTraces = true;
     std::printf("(instructions per run: %llu; set MCDSIM_INSTS to "
                 "change)\n\n",
                 static_cast<unsigned long long>(base.instructions));

@@ -18,12 +18,12 @@ int
 main(int argc, char **argv)
 {
     mcdbench::parseHarnessArgs(argc, argv);
-    mcdbench::banner("TABLE 2",
-                     "Benchmark suite and spectral classification");
-
     RunOptions opts = mcdbench::runOptions(400000);
     opts.recordTraces = true;
     opts.config.traceStride = 1;
+
+    mcdbench::banner("TABLE 2",
+                     "Benchmark suite and spectral classification");
 
     // The "interesting wavelength range" of Figure 8: workload
     // variation around and just above the 2500-sample fixed interval

@@ -23,7 +23,7 @@ const char usage[] = R"(usage: mcdsim_cli [options]
   --insts N             instructions per run (default 600000)
   --seed N              workload seed (default 1)
   --baseline            also run the MCD baseline and print deltas
-                        (human output only)
+                        (human output only; not with --scheme fixed)
   --csv                 CSV output (one row per run)
   --json                JSON output (single run only)
   --list                list benchmark profiles and exit
@@ -167,6 +167,9 @@ try {
         }
     }
 
+    const mcd::ControllerKind kind =
+        mcd::parseControllerKind(scheme, "--scheme");
+
     // Refuse combinations in which a flag would do nothing.
     auto conflict = [](bool both, const char *site, const char *other) {
         if (both)
@@ -176,6 +179,9 @@ try {
     conflict(with_baseline && csv, "--baseline", "--csv");
     conflict(with_baseline && json, "--baseline", "--json");
     conflict(csv && json, "--json", "--csv");
+    // The fixed scheme is the MCD baseline: it would compare with itself.
+    conflict(with_baseline && kind == mcd::ControllerKind::Fixed,
+             "--baseline", "--scheme fixed, the MCD baseline itself");
 
     std::vector<std::string> names;
     if (bench == "all") {
@@ -188,8 +194,6 @@ try {
     if (json && names.size() != 1)
         throw mcd::ConfigError("--json", "supports a single run");
 
-    const mcd::ControllerKind kind =
-        mcd::parseControllerKind(scheme, "--scheme");
     std::vector<mcd::SimResult> results;
     for (const auto &n : names) {
         mcd::SimResult r = mcd::run(mcd::schemeSpec(n, kind, opts));

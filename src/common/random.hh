@@ -74,7 +74,10 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t range(std::int64_t lo, std::int64_t hi);
 
-    /** Standard normal deviate (Box-Muller with caching). */
+    /**
+     * Standard normal deviate (Box-Muller with caching): the cos half
+     * of a fresh pair, then its sin half on the next call.
+     */
     double
     gaussian()
     {
@@ -82,15 +85,38 @@ class Rng
             haveCachedGaussian = false;
             return cachedGaussian;
         }
-        double u1 = uniform();
-        double u2 = uniform();
+        double u1, u2, c;
+        boxMullerUniforms(u1, u2);
+        boxMuller(u1, u2, c, cachedGaussian);
+        haveCachedGaussian = true;
+        return c;
+    }
+
+    /**
+     * The two uniforms of one Box-Muller pair, as gaussian() draws
+     * them: @p u1 then @p u2, then @p u1 again until it exceeds 1e-300
+     * (so its log is finite).
+     */
+    void
+    boxMullerUniforms(double &u1, double &u2)
+    {
+        u1 = uniform();
+        u2 = uniform();
         while (u1 <= 1e-300)
             u1 = uniform();
+    }
+
+    /**
+     * The Box-Muller pair of @p u1 and @p u2 through libm: @p c and
+     * @p s are the cos and sin halves. gaussian() returns these bits.
+     */
+    static void
+    boxMuller(double u1, double u2, double &c, double &s)
+    {
         const double r = std::sqrt(-2.0 * std::log(u1));
         const double theta = 2.0 * M_PI * u2;
-        cachedGaussian = r * std::sin(theta);
-        haveCachedGaussian = true;
-        return r * std::cos(theta);
+        c = r * std::cos(theta);
+        s = r * std::sin(theta);
     }
 
     /** Normal deviate with given mean and standard deviation. */

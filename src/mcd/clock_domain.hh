@@ -27,8 +27,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "common/check.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "dvfs/dvfs_driver.hh"
@@ -94,6 +97,76 @@ earliestSlot(const SlotTimes &times)
     return static_cast<std::size_t>(std::countr_zero(at_first));
 }
 
+/**
+ * Tick of a jittered edge: the ideal time @p ideal plus jitter @p j
+ * clamped to +-@p clamp, truncated to a whole tick, and never before
+ * @p floor_t. Clamping, IEEE addition and truncation are each
+ * monotone, so the tick is monotone non-decreasing in @p j. Ticks
+ * stay below 2^63 and convert through std::int64_t, which gives the
+ * same values as unsigned conversion without its branches.
+ */
+inline Tick
+jitteredTick(Tick ideal, Tick floor_t, double clamp, double j)
+{
+    const auto as_double = [](Tick t) {
+        return static_cast<double>(static_cast<std::int64_t>(t));
+    };
+    const double shifted = as_double(ideal) + std::clamp(j, -clamp, clamp);
+    return shifted < as_double(floor_t)
+               ? floor_t
+               : static_cast<Tick>(static_cast<std::int64_t>(shifted));
+}
+
+/**
+ * Tick of a jitter value known only to lie within +-@p bound of
+ * @p fast: since jitteredTick() is monotone, when both ends of the
+ * interval give the same tick every value in it does. Empty when the
+ * ends disagree, and only the exact value can decide.
+ */
+inline std::optional<Tick>
+boundedJitteredTick(Tick ideal, Tick floor_t, double clamp, double fast,
+                    double bound)
+{
+    const Tick lo = jitteredTick(ideal, floor_t, clamp, fast - bound);
+    const Tick hi = jitteredTick(ideal, floor_t, clamp, fast + bound);
+    if (lo != hi) [[unlikely]]
+        return std::nullopt;
+    return lo;
+}
+
+/**
+ * Fast Box-Muller over @p pairs uniform pairs, a multiple of 4:
+ * out[2k] and out[2k + 1] are @p scale times the cos and sin halves
+ * that Rng::boxMuller(u1[k], u2[k]) gives, to within
+ * boxMullerErrorBound * |scale|. Branch-free polynomials replace libm;
+ * the results are not bit-identical to it.
+ */
+using BoxMullerKernel = void (*)(const double *u1, const double *u2,
+                                 double scale, double *out,
+                                 std::size_t pairs);
+
+/**
+ * Bound on |fast - exact| per unit of scale for every BoxMullerKernel
+ * and every (u1, u2) Rng::boxMullerUniforms can draw. The kernels stay
+ * within about 1e-14 (DESIGN.md, "Jitter in blocks, exact when
+ * certain"); the bound keeps a margin of 3 * 10^4 over that.
+ */
+constexpr double boxMullerErrorBound = 3e-10;
+
+/** One compiled BoxMullerKernel. */
+struct BoxMullerVariant
+{
+    const char *name;
+    BoxMullerKernel fn;
+};
+
+/**
+ * The kernels compiled into this build that this CPU can run:
+ * "baseline" first, then "avx2-fma" on x86-64 hosts with AVX2 and FMA.
+ * Jitter refills use the last one, chosen once per process.
+ */
+std::vector<BoxMullerVariant> boxMullerVariants();
+
 /** One independently clocked domain. */
 class ClockDomain : public FrequencyActuator
 {
@@ -151,7 +224,7 @@ class ClockDomain : public FrequencyActuator
             traceEdge();
         accrueVoltageTime();
         work();
-        placeNextEdge(cfg.jitterEnabled ? nextJitter() : 0.0);
+        placeNextEdge();
     }
 
     /** @{ Current operating point. */
@@ -165,6 +238,13 @@ class ClockDomain : public FrequencyActuator
 
     /** Edges elapsed since start(). */
     std::uint64_t cycleCount() const { return cycles; }
+
+    /**
+     * Edges whose tick the fast jitter value's error bound could not
+     * decide, so the exact Box-Muller chain placed them. For tests;
+     * not a registered stat.
+     */
+    std::uint64_t jitterRecomputeCount() const { return jitterRecomputes; }
 
     /** Scheduled time of the next edge (with jitter applied). */
     Tick nextEdgeTime() const { return nextActualEdge; }
@@ -220,42 +300,68 @@ class ClockDomain : public FrequencyActuator
     class EdgeEvent;
 
     /**
-     * Jitter draws per refill. The jitter stream is read only here,
-     * one gaussian(0, sigma) per edge, so drawing it in blocks keeps
-     * every value and takes the log/sqrt/sincos chain off the
-     * per-edge path.
+     * Jitter values per refill. The jitter stream is read only here,
+     * one gaussian(0, sigma) value per edge, so drawing it in blocks
+     * keeps every value. Entry 0 is the sin half carried over from the
+     * last block (exact); entries 1..63 are fast values of jitterPairs
+     * fresh pairs, cos half first; entry 64 is the carry: the exact sin
+     * half of the last fresh pair.
      */
     static constexpr std::size_t jitterBlockSize = 64;
+    static constexpr std::size_t jitterPairs = jitterBlockSize / 2;
 
-    double
-    nextJitter()
+    /** Set the next edge: the ideal grid plus the next jitter value. */
+    void
+    placeNextEdge()
+    {
+        nextIdealEdge = lastIdealEdge + periodTicks;
+        nextActualEdge =
+            cfg.jitterEnabled ? nextJitteredTick() : nextIdealEdge;
+    }
+
+    /**
+     * Tick of the next jitter value. The fast value decides it when
+     * its error bound allows, else the exact chain does. Never before
+     * "now" or before the previous edge: offset from the ideal grid
+     * only.
+     */
+    Tick
+    nextJitteredTick()
     {
         if (jitterNext == jitterBlockSize) [[unlikely]]
             refillJitter();
-        return jitterBlock[jitterNext++];
+        const std::size_t slot = jitterNext++;
+        const auto tick =
+            boundedJitteredTick(nextIdealEdge, jitterFloor(), jitterClamp(),
+                                jitterBlock[slot], jitterBound);
+        if (!tick) [[unlikely]]
+            return exactJitteredTick(slot);
+#if MCDSIM_DCHECK_IS_ON
+        checkDecidedTick(slot, *tick);
+#endif
+        return *tick;
+    }
+
+    Tick jitterFloor() const { return std::max(curTick, lastIdealEdge) + 1; }
+    double jitterClamp() const
+    {
+        return static_cast<double>(cfg.jitterClampFs);
     }
 
     void refillJitter();
 
-    /** Set the next edge: the ideal grid plus clamped jitter @p j. */
-    void
-    placeNextEdge(double j)
-    {
-        nextIdealEdge = lastIdealEdge + periodTicks;
-        Tick actual = nextIdealEdge;
-        if (cfg.jitterEnabled) {
-            const double clamp = static_cast<double>(cfg.jitterClampFs);
-            j = std::clamp(j, -clamp, clamp);
-            // Never jitter an edge before "now" or before the previous
-            // edge: offset from the ideal grid only.
-            const Tick floor_t = std::max(curTick, lastIdealEdge) + 1;
-            const double shifted = static_cast<double>(nextIdealEdge) + j;
-            actual = shifted < static_cast<double>(floor_t)
-                         ? floor_t
-                         : static_cast<Tick>(shifted);
-        }
-        nextActualEdge = actual;
-    }
+    /** Exact jitter of block entry @p slot, from its stored uniforms. */
+    double exactJitter(std::size_t slot) const;
+
+    /** The tick the exact chain gives block entry @p slot. */
+    [[gnu::cold, gnu::noinline]] Tick exactJitteredTick(std::size_t slot);
+
+    /**
+     * The bound decided @p tick for entry @p slot: DCHECK that the
+     * exact chain agrees. Defined in every build; called in DCHECK
+     * builds only.
+     */
+    void checkDecidedTick(std::size_t slot, Tick tick) const;
 
     void traceEdge();
 
@@ -266,6 +372,11 @@ class ClockDomain : public FrequencyActuator
     Tick periodTicks = 0;
     Rng jitter;
     std::size_t jitterNext = jitterBlockSize;
+
+    /** Half-width of the interval the exact jitter lies in around a
+     *  fast block entry: boxMullerErrorBound * |sigma|. */
+    double jitterBound = 0.0;
+    std::uint64_t jitterRecomputes = 0;
 
     /** The edge event of a queue-bound domain, else null. */
     std::unique_ptr<EdgeEvent> edgeEvent;
@@ -285,8 +396,12 @@ class ClockDomain : public FrequencyActuator
     /** Cached: non-null only when the sink wants per-edge events. */
     obs::TraceSink *edgeTrace = nullptr;
 
-    /** Pre-drawn jitter; entries from jitterNext on are unread. */
-    std::array<double, jitterBlockSize> jitterBlock;
+    /** Pre-drawn jitter; entries jitterNext..63 are unread. */
+    std::array<double, jitterBlockSize + 1> jitterBlock;
+
+    /** The uniforms of the fresh pairs behind entries 1..64. */
+    std::array<double, jitterPairs> jitterU1;
+    std::array<double, jitterPairs> jitterU2;
 };
 
 } // namespace mcd

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -109,6 +110,40 @@ TEST(Random, GaussianScaled)
     for (int i = 0; i < n; ++i)
         sum += rng.gaussian(5.0, 2.0);
     EXPECT_NEAR(sum / n, 5.0, 0.05);
+}
+
+TEST(Rng, GaussianStreamIsPinned)
+{
+    // The bits of gaussian() draws 0, 1, 63, 64 and 127: both halves
+    // of a Box-Muller pair, and the draws on either side of a 64-value
+    // jitter block boundary. Clock jitter reads this stream, so these
+    // bits are part of every jittered run's results.
+    struct Pin
+    {
+        std::uint64_t seed;
+        std::uint64_t bits[5];
+    };
+    constexpr int draws[5] = {0, 1, 63, 64, 127};
+    constexpr Pin pins[] = {
+        {1,
+         {0xbfeaa5d15d61bbdeull, 0xbfbb868742fbcb43ull, 0xbfd43e9d47ab9ce9ull,
+          0x3fec9b1f67785abfull, 0x3fa1733a503a66fcull}},
+        {0xC10C,
+         {0xbfc4cbdbdce0660full, 0x3fe995dfccf83f76ull, 0x3fc746876000d823ull,
+          0xbff947f9245a77a4ull, 0xbfecaad8a9aec89cull}},
+    };
+    for (const Pin &pin : pins) {
+        Rng rng(pin.seed);
+        int next = 0;
+        for (int i = 0; i <= draws[4]; ++i) {
+            const double g = rng.gaussian();
+            if (i == draws[next]) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(g), pin.bits[next])
+                    << "seed " << pin.seed << " draw " << i;
+                ++next;
+            }
+        }
+    }
 }
 
 TEST(Random, GeometricMean)

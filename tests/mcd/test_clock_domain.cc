@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/digest.hh"
 #include "common/error.hh"
 #include "common/random.hh"
 #include "mcd/clock_domain.hh"
@@ -181,6 +183,28 @@ TEST(ClockDomain, OwnerClockedMatchesQueueBound)
     ASSERT_GT(viaOwner.size(), 300u);
     EXPECT_EQ(viaOwner, viaQueue);
     EXPECT_EQ(owned.cycleCount(), queued.cycleCount());
+}
+
+TEST(ClockDomain, JitteredEdgesArePinned)
+{
+    // The first 10^5 edge times of a jittered INT domain at the default
+    // seed, sigma and clamp: any change to the jitter stream or to the
+    // edge placement moves this digest.
+    ClockDomain::Config cfg = jitterFree();
+    cfg.jitterEnabled = true;
+    Tick now = 0;
+    ClockDomain dom(now, cfg);
+    dom.start();
+    std::string text;
+    for (int i = 0; i < 100000; ++i) {
+        text += std::to_string(dom.nextEdgeTime());
+        text += '\n';
+        now = dom.nextEdgeTime();
+        dom.edge([] {});
+    }
+    EXPECT_EQ(
+        sha256Hex(text),
+        "ada3e2a0d32e132c24d61c53e9a98ad37b11b3d5aba69e8b102e96695aecfa33");
 }
 
 TEST(ClockDomain, NonPositiveFrequencyIsAConfigError)

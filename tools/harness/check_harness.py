@@ -20,7 +20,8 @@ Two checks, one harness binary per invocation:
                     --faults drop-update --stats-out P counts nonzero
                     fault.drop_update_injected in P (not for a
                     --fault-sweep harness, whose sweep sets the plan);
-                    --faults no-such-site exits 2;
+                    --faults no-such-site exits 2 before printing
+                    anything on stdout;
                     --faults task-throw:attempts=1 --retries 1 exits 0
                     with the plain run's stdout (bench_campaign's CSV
                     reports retried_ok/2 in its status columns; a
@@ -127,6 +128,9 @@ def check_sim(binary, env, tmp, fault_sweep=False):
 
     unknown = run(binary, base + ["--faults", "no-such-site"], env)
     expect_exit(unknown, 2, "--faults no-such-site")
+    if unknown.stdout:
+        raise Failure("--faults no-such-site printed before it was "
+                      "rejected:\n" + unknown.stdout[-2000:])
 
     retried = run(binary, base + ["--faults", "task-throw:attempts=1",
                                   "--retries", "1"], env)
