@@ -73,6 +73,9 @@ cacheCommand(int argc, char **argv)
         if (arg == "--cache-dir") {
             dir = value();
         } else if (arg == "--max-bytes") {
+            if (action != "gc")
+                throw mcd::ConfigError("--max-bytes",
+                                       "only 'cache gc' takes it");
             max_bytes = mcd::parseUint(value(), "--max-bytes");
             have_max = true;
         } else {

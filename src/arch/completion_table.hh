@@ -18,6 +18,8 @@
 #ifndef MCDSIM_ARCH_COMPLETION_TABLE_HH
 #define MCDSIM_ARCH_COMPLETION_TABLE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +39,19 @@ class CompletionTable
     {
         MCDSIM_CHECK(capacity != 0 && (capacity & (capacity - 1)) == 0,
                      "completion table capacity must be a power of 2");
+    }
+
+    /**
+     * Capacity for a ROB of @p rob_size entries: 1024, or 2 * rob_size
+     * rounded up to a power of 2 if that is more. Then any distance
+     * whose slot can be reused while its consumer waits (at least
+     * capacity - rob_size) is at least rob_size, so it names a
+     * producer that retired before the consumer dispatched.
+     */
+    static std::size_t
+    capacityFor(std::size_t rob_size)
+    {
+        return std::max<std::size_t>(1024, std::bit_ceil(2 * rob_size));
     }
 
     /** Register instruction @p seq as in flight (not yet complete). */
@@ -78,10 +93,6 @@ class CompletionTable
         return e.domain == consumer ? e.completeTime
                                     : e.completeTime + cross_penalty;
     }
-
-    /** Ring entries: a sequence number's slot is reused this many
-     *  instructions later. */
-    std::size_t capacity() const { return ring.size(); }
 
     /** Number of beginInst() and complete() calls so far. */
     std::uint64_t epoch() const { return _epoch; }

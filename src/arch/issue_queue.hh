@@ -88,11 +88,8 @@ class IssueQueue
         });
     }
 
-    /**
-     * Remove a previously selected entry, keeping the others in
-     * order. The shorter side of the ring closes the gap, so removing
-     * the oldest entry is O(1).
-     */
+    /** Remove a previously selected entry, keeping the others in
+     *  order. */
     void
     erase(DynInst *inst)
     {
@@ -101,15 +98,47 @@ class IssueQueue
             ++i;
         if (i == count)
             panic("%s: erasing absent instruction", _name.c_str());
-        if (i < count / 2) {
-            for (; i > 0; --i)
-                slot(i) = slot(i - 1);
-            head = head + 1 == cap ? 0 : head + 1;
+        eraseAt(&i, 1);
+    }
+
+    /**
+     * Remove the entries at scan positions @p pos[0] < ... <
+     * pos[n - 1] (0 = oldest) in one pass, keeping the others in
+     * order. The shorter side of the ring closes the gaps, so removing
+     * the oldest entries moves nothing.
+     */
+    void
+    eraseAt(const std::uint32_t *pos, unsigned n)
+    {
+        if (n == 0)
+            return;
+        MCDSIM_DCHECK(pos[n - 1] < count, "%s: erasing past the tail",
+                      _name.c_str());
+        if (pos[n - 1] < count - pos[0]) {
+            // Shift the older survivors up; the head moves past the gap.
+            std::uint32_t w = pos[n - 1];
+            unsigned k = n;
+            for (std::uint32_t r = pos[n - 1] + 1; r-- > 0;) {
+                if (k > 0 && r == pos[k - 1])
+                    --k;
+                else
+                    slot(w--) = slot(r);
+            }
+            head += n;
+            if (head >= cap)
+                head -= cap;
         } else {
-            for (; i + 1 < count; ++i)
-                slot(i) = slot(i + 1);
+            // Shift the younger survivors down.
+            std::uint32_t w = pos[0];
+            unsigned k = 0;
+            for (std::uint32_t r = pos[0]; r < count; ++r) {
+                if (k < n && r == pos[k])
+                    ++k;
+                else
+                    slot(w++) = slot(r);
+            }
         }
-        --count;
+        count -= n;
     }
 
     void

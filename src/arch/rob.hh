@@ -68,6 +68,19 @@ class Rob
         return &slots[headIdx];
     }
 
+    /**
+     * The instruction @p dist slots older than the in-flight @p inst.
+     * The caller knows that one is still in flight too.
+     */
+    DynInst *
+    olderBy(const DynInst *inst, std::size_t dist)
+    {
+        const auto at = static_cast<std::size_t>(inst - slots.data());
+        MCDSIM_DCHECK(at < slots.size() && dist < count,
+                      "ROB lookup outside the window");
+        return &slots[at >= dist ? at - dist : at + slots.size() - dist];
+    }
+
     /** Retire the head; its storage is recycled. */
     void
     retireHead()

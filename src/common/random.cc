@@ -56,6 +56,12 @@ Rng::chance(double p)
 std::uint64_t
 Rng::geometric(double p)
 {
+    return geometric(p, std::log1p(-p));
+}
+
+std::uint64_t
+Rng::geometric(double p, double log1m_p)
+{
     if (p >= 1.0)
         return 0;
     if (p <= 0.0)
@@ -63,7 +69,7 @@ Rng::geometric(double p)
     double u = uniform();
     while (u <= 1e-300)
         u = uniform();
-    return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
+    return static_cast<std::uint64_t>(std::log(u) / log1m_p);
 }
 
 Rng

@@ -136,6 +136,13 @@ class Rng
      */
     std::uint64_t geometric(double p);
 
+    /**
+     * geometric(p) with the caller's @p log1m_p == std::log1p(-p), for
+     * a caller that draws many times with one p. Same draws, same
+     * values.
+     */
+    std::uint64_t geometric(double p, double log1m_p);
+
     /** Fork an independent stream keyed by @p key. */
     Rng fork(std::uint64_t key) const;
 

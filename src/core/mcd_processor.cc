@@ -99,6 +99,7 @@ McdProcessor::McdProcessor(const SimConfig &config, WorkloadSource &source)
       fpQ("fp-queue", config.fpQueueSize),
       lsQ("ls-queue", config.lsQueueSize),
       intFus("int", config.intAlus, 1), fpFus("fp", config.fpAlus, 1),
+      completion(CompletionTable::capacityFor(config.robSize)),
       samplingPeriod(config.samplingPeriod()),
       freqTraces{TimeSeries{"int-freq-ghz", config.traceStride},
                  TimeSeries{"fp-freq-ghz", config.traceStride},
@@ -368,6 +369,85 @@ McdProcessor::handleBranchAtDispatch(DynInst *inst)
     return mispredict;
 }
 
+void
+McdProcessor::beginInst(DynInst &inst, DomainId domain)
+{
+    unparkAll();
+    completion.beginInst(inst.seq, domain);
+    for (std::uint8_t i = 0; i < 2; ++i) {
+        const std::uint16_t dist = inst.in.srcDist[i];
+        if (dist == 0 || dist >= inst.seq)
+            continue;
+        // The one probe of this operand: a producer that issued (or
+        // retired) has a final ready tick. Its slot is reused only at
+        // a distance of capacity - robSize or more, which names a
+        // producer retired before now, so that tick or the 0 a reused
+        // slot reads both lie below every tick select sees this entry.
+        const Tick t =
+            completion.readyTime(inst.seq - dist, domain, crossPenalty());
+        if (t != maxTick) {
+            inst.srcReady = std::max(inst.srcReady, t);
+            continue;
+        }
+        // An unissued producer cannot have retired: it is dist slots
+        // back in the ROB. Wait on it.
+        DynInst &producer = *reorderBuffer.olderBy(&inst, dist);
+        MCDSIM_DCHECK_EQ(producer.seq, inst.seq - dist,
+                         "wakeup list of the wrong producer");
+        inst.nextWaiter[i] = producer.waiters;
+        producer.waiters = {&inst, i};
+        ++inst.pendingSrcs;
+    }
+}
+
+void
+McdProcessor::completeInst(DynInst &inst, Tick when)
+{
+    unparkAll();
+    inst.issued = true;
+    inst.completeTime = when;
+    completion.complete(inst.seq, when);
+    // Each consumer reads the result when CompletionTable::readyTime
+    // would: at when, plus the crossing penalty from another domain.
+    const DomainId dom = domainFor(inst.in.cls);
+    for (WakeLink w = inst.waiters; w.inst != nullptr;) {
+        DynInst &c = *w.inst;
+        const Tick ready =
+            domainFor(c.in.cls) == dom ? when : when + crossPenalty();
+        c.srcReady = std::max(c.srcReady, ready);
+        if (--c.pendingSrcs == 0)
+            c.eligible = std::max(c.queueVisibleTime, c.srcReady);
+        w = c.nextWaiter[w.src];
+    }
+}
+
+DomainId
+McdProcessor::enqueue(DynInst &inst, IssueQueue &q, Tick now)
+{
+    const DomainId exec_dom = domainFor(inst.in.cls);
+    beginInst(inst, exec_dom);
+    // The queue write launches mid-way through the dispatching
+    // front-end cycle (dispatch logic settles well before the next
+    // edge); the consumer captures it at its first edge from then
+    // on. Synchronization cost follows the interface-queue
+    // behaviour of Section 2: a write into a NON-empty queue needs
+    // no synchronization (older entries are already settled and
+    // FIFO order protects the new one), while a write that the
+    // consumer could race ahead to — an empty-queue handoff — pays
+    // the 300 ps window rule and may slip one consumer cycle.
+    const Tick write_time = now + domains[0]->period() / 2;
+    inst.queueVisibleTime =
+        (cfg.mcdEnabled && q.empty())
+            ? sync.visibleAt(*domains[static_cast<std::size_t>(exec_dom)],
+                             write_time)
+            : write_time;
+    inst.eligible = inst.pendingSrcs != 0
+                        ? maxTick
+                        : std::max(inst.queueVisibleTime, inst.srcReady);
+    q.insert(&inst);
+    return exec_dom;
+}
+
 McdProcessor::FeStall
 McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
 {
@@ -422,25 +502,7 @@ McdProcessor::dispatchStage(Tick now, unsigned &dispatched_this_cycle)
         inst->seq = nextSeq++;
         havePending = false;
 
-        const DomainId exec_dom = domainFor(inst->in.cls);
-        beginInst(inst->seq, exec_dom);
-        // The queue write launches mid-way through the dispatching
-        // front-end cycle (dispatch logic settles well before the next
-        // edge); the consumer captures it at its first edge from then
-        // on. Synchronization cost follows the interface-queue
-        // behaviour of Section 2: a write into a NON-empty queue needs
-        // no synchronization (older entries are already settled and
-        // FIFO order protects the new one), while a write that the
-        // consumer could race ahead to — an empty-queue handoff — pays
-        // the 300 ps window rule and may slip one consumer cycle.
-        const Tick write_time = now + domains[0]->period() / 2;
-        inst->queueVisibleTime =
-            (cfg.mcdEnabled && q.empty())
-                ? sync.visibleAt(
-                      *domains[static_cast<std::size_t>(exec_dom)],
-                      write_time)
-                : write_time;
-        q.insert(inst);
+        const DomainId exec_dom = enqueue(*inst, q, now);
         ++dispatched_this_cycle;
 
         const auto &ec = energy.config();
@@ -604,16 +666,7 @@ McdProcessor::dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle)
         inst->in = fe.in;
         inst->seq = nextSeq++;
 
-        const DomainId exec_dom = domainFor(inst->in.cls);
-        beginInst(inst->seq, exec_dom);
-        const Tick write_time = now + domains[0]->period() / 2;
-        inst->queueVisibleTime =
-            (cfg.mcdEnabled && q.empty())
-                ? sync.visibleAt(
-                      *domains[static_cast<std::size_t>(exec_dom)],
-                      write_time)
-                : write_time;
-        q.insert(inst);
+        const DomainId exec_dom = enqueue(*inst, q, now);
         ++dispatched_this_cycle;
 
         const auto &ec = energy.config();
@@ -637,6 +690,18 @@ McdProcessor::dispatchFromBuffer(Tick now, unsigned &dispatched_this_cycle)
 // ---------------------------------------------------------------- clusters
 
 #if MCDSIM_DCHECK_IS_ON
+void
+McdProcessor::checkEligible(const DynInst &inst, DomainId dom, Tick now) const
+{
+    MCDSIM_DCHECK_EQ(inst.eligible > now,
+                     inst.queueVisibleTime > now ||
+                         srcReadyTime(inst, dom) > now,
+                     "seq %llu: woken tick disagrees with the completion "
+                     "table at %llu",
+                     static_cast<unsigned long long>(inst.seq),
+                     static_cast<unsigned long long>(now));
+}
+
 void
 McdProcessor::checkSkippedSelect(const IssueQueue &queue, DomainId dom,
                                  Tick now) const
@@ -666,7 +731,7 @@ McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
                      TryIssue &&try_issue, RetryAt &&retry_at)
 {
     const Tick now = curTick;
-    const DomainId dom = controlledDomains[ctl];
+    [[maybe_unused]] const DomainId dom = controlledDomains[ctl];
     SelectMemo &memo = selectMemo[ctl];
 
     // Mid-transition: the cluster issues nothing this edge.
@@ -679,29 +744,31 @@ McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
         return 0;
     }
 
-    DynInst *selected[16];
+    std::uint32_t selected[16]{}; // scan positions, oldest first
     unsigned issued = 0;
     SelectMemo next{maxTick, 0};
     bool conclusive = true;
     // Asked once: nothing a scan does can free a unit or an MSHR.
     Tick retry = 0;
     bool retry_known = false;
+    std::uint32_t pos = 0;
     queue.forEach([&](DynInst *inst) {
-        if (inst->queueVisibleTime > now) {
-            next.wakeTick = std::min(next.wakeTick, inst->queueVisibleTime);
+        const std::uint32_t at = pos++;
+#if MCDSIM_DCHECK_IS_ON
+        checkEligible(*inst, dom, now);
+#endif
+        // Not visible yet or operands pending: a producer still to
+        // issue leaves maxTick, which adds nothing to the wake.
+        if (inst->eligible > now) {
+            next.wakeTick = std::min(next.wakeTick, inst->eligible);
             return true;
         }
         if (issued >= width || issued >= std::size(selected)) {
             conclusive = false; // stopped early: the scan proves nothing
             return false;
         }
-        const Tick ready = operandsReady(*inst, dom);
-        if (ready > now) {
-            next.wakeTick = std::min(next.wakeTick, ready);
-            return true; // operands pending: try younger entries
-        }
         if (try_issue(inst)) {
-            selected[issued++] = inst;
+            selected[issued++] = at;
             return true;
         }
         if (!retry_known) {
@@ -714,10 +781,9 @@ McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
             conclusive = false;
         return true;
     });
-    for (unsigned i = 0; i < issued; ++i)
-        queue.erase(selected[i]);
+    queue.eraseAt(selected, issued);
     // Producers precede consumers in the oldest-first scan, so every
-    // entry was probed after this scan's own completions.
+    // entry was read after this scan's own issues woke it.
     next.epoch = completion.epoch();
     memo = conclusive ? next : SelectMemo{};
     return issued;

@@ -91,16 +91,16 @@ class McdProcessor
   private:
     /**
      * Issue-select memo of one cluster queue. A full scan left no
-     * entry both visible and operand-ready but those it issued and
-     * loads refused for want of an MSHR. It records the earliest tick
-     * at which one could become so (the minimum over entries of the
-     * visibility time, or of the known operand-ready time once
-     * visible, and over refused loads of the first MSHR release) and
-     * the completion-table epoch after the scan. While now is before
-     * that tick and the epoch is unchanged, a scan would issue
-     * nothing, so the edge skips it. Any dispatch or issue advances
-     * the epoch. A scan that stopped at the issue width, or saw a
-     * ready entry refused for a busy unit, records nothing.
+     * eligible entry but those it issued and loads refused for want
+     * of an MSHR. It records the earliest tick at which one could
+     * become so (the minimum over entries of the eligible tick, and
+     * over refused loads of the first MSHR release) and the
+     * completion-table epoch after the scan. While now is before that
+     * tick and the epoch is unchanged, a scan would issue nothing, so
+     * the edge skips it: only a dispatch or an issue, which advance
+     * the epoch, change an eligible tick. A scan that stopped at the
+     * issue width, or saw an eligible entry refused for a busy unit,
+     * records nothing.
      */
     struct SelectMemo
     {
@@ -175,22 +175,20 @@ class McdProcessor
      * `sync.visibleAt` read and the issue-queue energy that follow a
      * beginInst().
      */
-    void
-    beginInst(InstSeqNum seq, DomainId domain)
-    {
-        unparkAll();
-        completion.beginInst(seq, domain);
-    }
-
-    void
-    completeInst(DynInst &inst, Tick when)
-    {
-        unparkAll();
-        inst.issued = true;
-        inst.completeTime = when;
-        completion.complete(inst.seq, when);
-    }
+    /** Register @p inst, just allocated, as in flight in @p domain:
+     *  fold each known operand-ready tick into its srcReady and link
+     *  it into each unissued producer's wakeup list. */
+    void beginInst(DynInst &inst, DomainId domain);
+    /** Record that @p inst issued and completes at @p when, and wake
+     *  its waiting consumers (DESIGN.md, "Operand wakeup and the eligible
+     *  tick"). */
+    void completeInst(DynInst &inst, Tick when);
     /** @} */
+
+    /** Dispatch the just-allocated @p inst into @p q at the front-end
+     *  edge @p now, with the eligible tick its operands allow; returns
+     *  the domain that executes it. */
+    DomainId enqueue(DynInst &inst, IssueQueue &q, Tick now);
 
     /** @{ Per-domain edge work. */
     void frontEndTick();
@@ -235,9 +233,9 @@ class McdProcessor
     /**
      * Oldest-first issue select over @p queue of controlled domain
      * @p ctl, through its SelectMemo. @p try_issue is offered each
-     * visible, operand-ready entry, up to @p width issues; it issues
-     * the entry and returns true, or returns false when a unit or an
-     * MSHR is busy. @p retry_at() then names the earliest tick a
+     * entry whose eligible tick has come, up to @p width issues; it
+     * issues the entry and returns true, or returns false when a unit
+     * or an MSHR is busy. @p retry_at() then names the earliest tick a
      * refused entry could issue; at or before now it proves nothing
      * and the scan records no memo. Issued entries leave the queue.
      * Returns the number issued.
@@ -253,6 +251,9 @@ class McdProcessor
      */
     void checkSkippedSelect(const IssueQueue &queue, DomainId dom,
                             Tick now) const;
+    /** @p inst's eligible tick and a fresh probe of the completion
+     *  table agree on whether it may issue at @p now. */
+    void checkEligible(const DynInst &inst, DomainId dom, Tick now) const;
     /** A replayed front-end edge at @p now would do no work. */
     void checkFrontEndIdle(Tick now) const;
 #endif
@@ -269,9 +270,11 @@ class McdProcessor
      */
     bool evaluateBranch(const TraceInst &in);
 
+#if MCDSIM_DCHECK_IS_ON
     /**
-     * Time both source operands of @p inst are usable in @p consumer;
-     * maxTick while a producer has not issued.
+     * Time both source operands of @p inst are usable in @p consumer,
+     * probed afresh; maxTick while a producer has not issued. The
+     * debug checks compare it with the eligible tick.
      */
     Tick
     srcReadyTime(const DynInst &inst, DomainId consumer) const
@@ -288,32 +291,7 @@ class McdProcessor
         }
         return ready;
     }
-
-    /**
-     * srcReadyTime() cached on the entry. A finite answer is final
-     * while each producer keeps its completion-table slot. The newest
-     * in-flight instruction is below consumer + robSize, so a producer
-     * under capacity - robSize away keeps it while the consumer waits;
-     * one at capacity or more away reads "long retired" for good.
-     */
-    Tick
-    operandsReady(DynInst &inst, DomainId consumer) const
-    {
-        if (inst.srcReady != maxTick) {
-            MCDSIM_DCHECK_EQ(inst.srcReady, srcReadyTime(inst, consumer),
-                             "stale cached ready tick");
-            return inst.srcReady;
-        }
-        const Tick ready = srcReadyTime(inst, consumer);
-        const std::size_t cap = completion.capacity();
-        const auto final_dist = [&](std::size_t d) {
-            return d >= cap || d + cfg.robSize < cap;
-        };
-        if (ready != maxTick && final_dist(inst.in.srcDist[0]) &&
-            final_dist(inst.in.srcDist[1]))
-            inst.srcReady = ready;
-        return ready;
-    }
+#endif
 
     IssueQueue &queueFor(InstClass cls);
     /** Queue of controlled domain @p ctl (0 = INT, 1 = FP, 2 = LS). */

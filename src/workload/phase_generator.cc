@@ -167,7 +167,11 @@ PhaseTraceGenerator::pickDepDist(Rng &r, double mean_dep)
 {
     const double mean = std::max(mean_dep, 1.0);
     const double pgeo = 1.0 / mean;
-    const auto dist = 1 + r.geometric(pgeo);
+    if (pgeo != depP) {
+        depP = pgeo;
+        depLog1mP = std::log1p(-pgeo);
+    }
+    const auto dist = 1 + r.geometric(pgeo, depLog1mP);
     return static_cast<std::uint16_t>(std::min<std::uint64_t>(dist, 64));
 }
 
@@ -305,8 +309,9 @@ PhaseTraceGenerator::next(TraceInst &out)
     // some read two. Branches test freshly computed values, so their
     // dependence distance is short regardless of the phase ILP.
     if (out.cls == InstClass::Branch) {
+        static const double log1m_half = std::log1p(-0.5);
         out.srcDist[0] = static_cast<std::uint16_t>(
-            std::min<std::uint64_t>(1 + rng.geometric(0.5), 8));
+            std::min<std::uint64_t>(1 + rng.geometric(0.5, log1m_half), 8));
     } else {
         if (rng.chance(0.85))
             out.srcDist[0] = pickClusteredDep(rng, mean_dep, out.cls);

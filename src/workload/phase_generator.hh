@@ -166,6 +166,11 @@ class PhaseTraceGenerator : public WorkloadSource
     Addr pc = 0;
     std::uint64_t seqPtr = 0;
 
+    /** pickDepDist()'s last geometric p and its std::log1p(-p), so a
+     *  run of draws at one mean takes the logarithm once. */
+    double depP = -1.0;
+    double depLog1mP = 0.0;
+
     /** Ring of the most recent emitted instruction classes. */
     static constexpr std::size_t historySize = 64;
     InstClass recentClasses[historySize] = {};

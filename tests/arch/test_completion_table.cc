@@ -30,6 +30,21 @@ TEST(CompletionTable, CrossDomainPenaltyApplied)
     EXPECT_EQ(ct.readyTime(7, DomainId::FrontEnd, 300), 2300u);
 }
 
+TEST(CompletionTable, CapacityIs1024UpToARobOf512)
+{
+    for (std::size_t rob : {1u, 80u, 160u, 511u, 512u})
+        EXPECT_EQ(CompletionTable::capacityFor(rob), 1024u) << rob;
+}
+
+TEST(CompletionTable, CapacityCoversTwiceLargerRobs)
+{
+    // 2 * robSize, rounded up to a power of 2.
+    EXPECT_EQ(CompletionTable::capacityFor(513), 2048u);
+    EXPECT_EQ(CompletionTable::capacityFor(1024), 2048u);
+    EXPECT_EQ(CompletionTable::capacityFor(1025), 4096u);
+    EXPECT_EQ(CompletionTable::capacityFor(3000), 8192u);
+}
+
 TEST(CompletionTable, AncientSeqTreatedAsComplete)
 {
     CompletionTable ct(64);

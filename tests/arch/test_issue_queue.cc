@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "arch/issue_queue.hh"
@@ -191,6 +192,47 @@ TEST(IssueQueue, EraseFromMiddleKeepsOldestFirstOrder)
     q.insert(&insts[8]);
     q.insert(&insts[9]);
     EXPECT_EQ(contents(q), (std::vector<InstSeqNum>{3, 6, 8, 9, 10}));
+}
+
+TEST(IssueQueue, EraseAtRemovesAnySetOfPositionsInOrder)
+{
+    // Every head offset, every occupancy and every set of positions of
+    // a capacity-8 ring: the survivors keep their order, and the ring
+    // stays consistent for a refill to capacity.
+    constexpr std::uint32_t cap = 8;
+    std::vector<DynInst> insts(2 * cap + cap);
+    for (std::size_t i = 0; i < insts.size(); ++i)
+        insts[i] = makeInst(i + 1, 0);
+    for (std::uint32_t offset = 0; offset < cap; ++offset) {
+        for (std::uint32_t n = 1; n <= cap; ++n) {
+            for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+                IssueQueue q("q", cap);
+                for (std::uint32_t i = 0; i < offset; ++i) {
+                    q.insert(&insts[i]);
+                    q.erase(&insts[i]); // move the head to offset
+                }
+                std::vector<InstSeqNum> want;
+                std::vector<std::uint32_t> pos;
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    q.insert(&insts[cap + i]);
+                    if ((mask >> i) & 1u)
+                        pos.push_back(i);
+                    else
+                        want.push_back(cap + i + 1);
+                }
+                q.eraseAt(pos.data(), static_cast<unsigned>(pos.size()));
+                ASSERT_EQ(contents(q), want)
+                    << "offset " << offset << " n " << n << " mask " << mask;
+                for (std::uint32_t i = 0; !q.full(); ++i) {
+                    q.insert(&insts[2 * cap + i]);
+                    want.push_back(2 * cap + i + 1);
+                }
+                ASSERT_EQ(contents(q), want)
+                    << "refill: offset " << offset << " n " << n << " mask "
+                    << mask;
+            }
+        }
+    }
 }
 
 TEST(IssueQueue, FullEmptyCycle)

@@ -158,6 +158,27 @@ TEST(Random, GeometricMean)
     EXPECT_NEAR(sum / n, (1.0 - p) / p, 0.1);
 }
 
+TEST(Rng, GeometricWithLogMatchesPlain)
+{
+    // The caller-supplied logarithm changes neither the draws nor the
+    // values: twin generators stay in lockstep for 10^6 draws per p.
+    for (double p : {0.5, 1.0 / 1.5, 1.0 / 6.0, 1.0 / 40.0}) {
+        Rng plain(29);
+        Rng with_log(29);
+        const double log1m_p = std::log1p(-p);
+        for (int i = 0; i < 1000000; ++i) {
+            const std::uint64_t want = plain.geometric(p);
+            const std::uint64_t got = with_log.geometric(p, log1m_p);
+            if (got != want) {
+                ADD_FAILURE() << "p " << p << " draw " << i << ": " << got
+                              << " != " << want;
+                break;
+            }
+        }
+        EXPECT_EQ(plain.next(), with_log.next()) << "p " << p;
+    }
+}
+
 TEST(Random, GeometricDegenerateP)
 {
     Rng rng(21);
