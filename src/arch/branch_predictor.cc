@@ -1,5 +1,7 @@
 #include "arch/branch_predictor.hh"
 
+#include <cstring>
+
 #include "common/error.hh"
 
 namespace mcd
@@ -42,7 +44,9 @@ BranchPredictor::BranchPredictor(const Config &config)
     history.assign(cfg.l1Entries, 0);
     pattern.assign(cfg.l2Entries, 2);
     chooser.assign(cfg.chooserEntries, 2);
-    btb.assign(std::size_t(cfg.btbSets) * cfg.btbAssoc, BtbEntry{});
+    const std::size_t n = std::size_t(cfg.btbSets) * cfg.btbAssoc;
+    btb = std::make_unique_for_overwrite<BtbEntry[]>(n);
+    std::memset(btb.get(), 0, n * sizeof(BtbEntry));
 }
 
 std::uint32_t

@@ -11,6 +11,7 @@
 #define MCDSIM_ARCH_BRANCH_PREDICTOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -63,12 +64,14 @@ class BranchPredictor
     /** @} */
 
   private:
+    /** Trivial, so the constructor can zero the table with one
+     *  memset: the element-wise fill dominated processor set-up. */
     struct BtbEntry
     {
-        Addr pc = 0;
-        Addr target = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
+        Addr pc;
+        Addr target;
+        bool valid;
+        std::uint64_t lastUse;
     };
 
     std::uint32_t bimodalIndex(Addr pc) const;
@@ -81,7 +84,7 @@ class BranchPredictor
     std::vector<std::uint16_t> history;  ///< per-PC history registers
     std::vector<std::uint8_t> pattern;   ///< 2-bit counters (level 2)
     std::vector<std::uint8_t> chooser;   ///< 2-bit: high = use 2-level
-    std::vector<BtbEntry> btb;
+    std::unique_ptr<BtbEntry[]> btb; ///< btbSets x btbAssoc, row-major
     std::uint64_t useClock = 0;
 
     std::uint64_t lookups = 0;

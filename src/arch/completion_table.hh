@@ -9,10 +9,12 @@
  * ring (far beyond the maximum dependence distance and ROB depth) are
  * treated as completed at time zero.
  *
- * The table also keeps an epoch that advances on every write. A
- * reader that derived a wake-up time from readyTime() answers can
- * reuse it for as long as the epoch is unchanged: no other call alters
- * what readyTime() returns.
+ * Issue select does not poll it: the processor wakes each waiting
+ * consumer when its producer issues, and each wake lowers the select
+ * wake of the consumer's queue alone. The table answers the one probe
+ * per operand at dispatch, the blocked-branch checks of the front end
+ * and the fetch stage, and the debug builds' checks of each woken
+ * tick.
  */
 
 #ifndef MCDSIM_ARCH_COMPLETION_TABLE_HH
@@ -62,7 +64,6 @@ class CompletionTable
         e.seq = seq;
         e.completeTime = maxTick;
         e.domain = domain;
-        ++_epoch;
     }
 
     /** Record completion of @p seq at @p when. */
@@ -73,7 +74,6 @@ class CompletionTable
         MCDSIM_CHECK(e.seq == seq, "completion of evicted seq %llu",
                      static_cast<unsigned long long>(seq));
         e.completeTime = when;
-        ++_epoch;
     }
 
     /**
@@ -94,9 +94,6 @@ class CompletionTable
                                     : e.completeTime + cross_penalty;
     }
 
-    /** Number of beginInst() and complete() calls so far. */
-    std::uint64_t epoch() const { return _epoch; }
-
   private:
     struct Entry
     {
@@ -106,7 +103,6 @@ class CompletionTable
     };
 
     std::vector<Entry> ring;
-    std::uint64_t _epoch = 0;
 };
 
 } // namespace mcd

@@ -372,7 +372,7 @@ McdProcessor::handleBranchAtDispatch(DynInst *inst)
 void
 McdProcessor::beginInst(DynInst &inst, DomainId domain)
 {
-    unparkAll();
+    catchUp(static_cast<std::size_t>(domain), curTick, curSlot);
     completion.beginInst(inst.seq, domain);
     for (std::uint8_t i = 0; i < 2; ++i) {
         const std::uint16_t dist = inst.in.srcDist[i];
@@ -403,22 +403,43 @@ McdProcessor::beginInst(DynInst &inst, DomainId domain)
 void
 McdProcessor::completeInst(DynInst &inst, Tick when)
 {
-    unparkAll();
+    const DomainId dom = domainFor(inst.in.cls);
+    // A parked front end waits on one of three issues: its blocking
+    // branch, the ROB head (a retire), or one from the queue it found
+    // full. Its replayed edges read nothing else this write changes.
+    if ((parkedMask & 1u) != 0 &&
+        (inst.seq == blockedBranchSeq || &inst == reorderBuffer.head() ||
+         (feParkStall == FeStall::QueueFull &&
+          domainFor(pendingInst.cls) == dom))) {
+        catchUp(0, curTick, curSlot);
+        resume(0);
+    }
     inst.issued = true;
     inst.completeTime = when;
     completion.complete(inst.seq, when);
     // Each consumer reads the result when CompletionTable::readyTime
     // would: at when, plus the crossing penalty from another domain.
-    const DomainId dom = domainFor(inst.in.cls);
     for (WakeLink w = inst.waiters; w.inst != nullptr;) {
         DynInst &c = *w.inst;
-        const Tick ready =
-            domainFor(c.in.cls) == dom ? when : when + crossPenalty();
+        const DomainId c_dom = domainFor(c.in.cls);
+        const Tick ready = c_dom == dom ? when : when + crossPenalty();
         c.srcReady = std::max(c.srcReady, ready);
         if (--c.pendingSrcs == 0)
-            c.eligible = std::max(c.queueVisibleTime, c.srcReady);
+            wakeQueue(c, c_dom);
         w = c.nextWaiter[w.src];
     }
+}
+
+void
+McdProcessor::wakeQueue(DynInst &inst, DomainId dom)
+{
+    inst.eligible = std::max(inst.queueVisibleTime, inst.srcReady);
+    const auto d = static_cast<std::size_t>(dom);
+    SelectMemo &memo = selectMemo[d - 1];
+    memo.wakeTick = std::min(memo.wakeTick, inst.eligible);
+    // A parked cluster's wake slot is its memo's wake.
+    if ((parkedMask >> d) & 1u)
+        slotTimes[d] = memo.wakeTick;
 }
 
 DomainId
@@ -441,10 +462,9 @@ McdProcessor::enqueue(DynInst &inst, IssueQueue &q, Tick now)
             ? sync.visibleAt(*domains[static_cast<std::size_t>(exec_dom)],
                              write_time)
             : write_time;
-    inst.eligible = inst.pendingSrcs != 0
-                        ? maxTick
-                        : std::max(inst.queueVisibleTime, inst.srcReady);
     q.insert(&inst);
+    if (inst.pendingSrcs == 0)
+        wakeQueue(inst, exec_dom);
     return exec_dom;
 }
 
@@ -737,7 +757,7 @@ McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
     // Mid-transition: the cluster issues nothing this edge.
     if (drivers[ctl]->stalled(now))
         return 0;
-    if (memo.holds(now, completion.epoch())) {
+    if (memo.holds(now)) {
 #if MCDSIM_DCHECK_IS_ON
         checkSkippedSelect(queue, dom, now);
 #endif
@@ -746,7 +766,7 @@ McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
 
     std::uint32_t selected[16]{}; // scan positions, oldest first
     unsigned issued = 0;
-    SelectMemo next{maxTick, 0};
+    SelectMemo next{maxTick};
     bool conclusive = true;
     // Asked once: nothing a scan does can free a unit or an MSHR.
     Tick retry = 0;
@@ -783,8 +803,8 @@ McdProcessor::select(std::size_t ctl, IssueQueue &queue, unsigned width,
     });
     queue.eraseAt(selected, issued);
     // Producers precede consumers in the oldest-first scan, so every
-    // entry was read after this scan's own issues woke it.
-    next.epoch = completion.epoch();
+    // entry was read after this scan's own issues woke it: the wakes
+    // they lowered this memo to are in next already.
     memo = conclusive ? next : SelectMemo{};
     return issued;
 }
@@ -1025,9 +1045,9 @@ McdProcessor::frontEndParkWake()
         return 0;
     // The edge that just ran stalled before any I-cache access or
     // generator call of its own, so the next ones stall the same way
-    // until the cause ends: a completion-table write, or for a fetch
-    // stall its end. They also retire nothing before the head is
-    // visible.
+    // until the cause ends: one of the issues completeInst() resumes
+    // the front end for, or for a fetch stall its end. They also
+    // retire nothing before the head is visible.
     Tick wake_at = feParkStall == FeStall::Fetch ? fetchStallUntil : maxTick;
     if (!reorderBuffer.empty()) {
         const DynInst &head = *reorderBuffer.head();
@@ -1041,7 +1061,7 @@ Tick
 McdProcessor::clusterParkWake(std::size_t ctl, Tick next)
 {
     const SelectMemo &memo = selectMemo[ctl];
-    if (drivers[ctl]->stalled(next) || !memo.holds(next, completion.epoch()))
+    if (drivers[ctl]->stalled(next) || !memo.holds(next))
         return 0;
     return memo.wakeTick;
 }

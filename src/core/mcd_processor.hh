@@ -93,25 +93,20 @@ class McdProcessor
      * Issue-select memo of one cluster queue. A full scan left no
      * eligible entry but those it issued and loads refused for want
      * of an MSHR. It records the earliest tick at which one could
-     * become so (the minimum over entries of the eligible tick, and
-     * over refused loads of the first MSHR release) and the
-     * completion-table epoch after the scan. While now is before that
-     * tick and the epoch is unchanged, a scan would issue nothing, so
-     * the edge skips it: only a dispatch or an issue, which advance
-     * the epoch, change an eligible tick. A scan that stopped at the
-     * issue width, or saw an eligible entry refused for a busy unit,
-     * records nothing.
+     * become so: the minimum over entries of the eligible tick, and
+     * over refused loads of the first MSHR release. Until then a scan
+     * would issue nothing, so the edge skips it. Only two writes give
+     * an entry of this queue an eligible tick, an insert and the
+     * wakeup of its last pending operand, and each lowers the wake to
+     * that tick (wakeQueue()). A scan that stopped at the issue width,
+     * or saw an eligible entry refused for a busy unit, records 0,
+     * which no write raises.
      */
     struct SelectMemo
     {
         Tick wakeTick = 0;
-        std::uint64_t epoch = 0;
 
-        bool
-        holds(Tick now, std::uint64_t current_epoch) const
-        {
-            return now < wakeTick && current_epoch == epoch;
-        }
+        bool holds(Tick now) const { return now < wakeTick; }
     };
 
     /** Why a front-end edge dispatched nothing; indexes feStalls. */
@@ -155,25 +150,21 @@ class McdProcessor
         parkedMask &= ~(1u << d);
         slotTimes[d] = domains[d]->nextEdgeTime();
     }
-    /** Catch up and resume every parked domain. */
-    void
-    unparkAll()
-    {
-        for (unsigned m = parkedMask; m != 0; m &= m - 1) {
-            const auto d = static_cast<std::size_t>(std::countr_zero(m));
-            catchUp(d, curTick, curSlot);
-            resume(d);
-        }
-    }
+    /** @p inst, queued in cluster domain @p dom, has no operand
+     *  pending: set its eligible tick, lower that queue's select wake
+     *  to it, and a parked cluster's wake slot with it, so the cluster
+     *  stays parked. */
+    void wakeQueue(DynInst &inst, DomainId dom);
     /** @} */
 
     /**
-     * @{ Completion-table writes. Each advances the epoch and may end
-     * any parked domain's idle run (a memo, a blocking branch, the ROB
-     * head, a full queue), so every parked domain is caught up and
-     * resumed first. That also covers the queue insert, its clock's
-     * `sync.visibleAt` read and the issue-queue energy that follow a
-     * beginInst().
+     * @{ Completion-table writes. Neither touches what a parked
+     * domain's replayed edges read, except as stated: beginInst()
+     * catches up @p domain, whose queue occupancy, issue-queue energy
+     * and clock (`sync.visibleAt`) the insert that follows changes or
+     * reads; completeInst() catches up and resumes a parked front end
+     * whose idle run it ends. Each entry that gets an eligible tick
+     * lowers its own queue's wake (wakeQueue()).
      */
     /** Register @p inst, just allocated, as in flight in @p domain:
      *  fold each known operand-ready tick into its srcReady and link

@@ -23,8 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "core/mcd_processor.hh"
 #include "core/mcdsim.hh"
@@ -101,32 +103,67 @@ class ScriptedSource : public WorkloadSource
     std::uint64_t index = 0;
 };
 
-/** Digest of the scripted stream run to completion under @p cfg. */
-std::string
-scriptedDigest(const SimConfig &cfg)
+/** The scripted stream run to completion: its serialized result and
+ *  the edges that ran as parked-domain replays. */
+struct ScriptedRun
+{
+    std::string bytes;
+    std::uint64_t replayed;
+};
+
+ScriptedRun
+runScripted(const SimConfig &cfg)
 {
     ScriptedSource src;
     McdProcessor proc(cfg, src);
-    return sha256Hex(serializeResult(proc.run()));
+    std::string bytes = serializeResult(proc.run());
+    return {std::move(bytes), proc.replayedEdgeCount()};
+}
+
+/** The pinned configurations: ROB 80, ROB 160, and the 5-domain
+ *  partition with ROB 80. */
+std::array<SimConfig, 3>
+scriptedConfigs()
+{
+    SimConfig rob80;
+    rob80.seed = 1;
+    SimConfig rob160 = rob80;
+    rob160.robSize = 160;
+    SimConfig five = rob80;
+    five.fiveDomainPartition = true;
+    return {rob80, rob160, five};
 }
 
 // Captured on the polling issue select; producer wakeup keeps them.
 TEST(KernelPins, ScriptedDependences)
 {
-    SimConfig rob80;
-    rob80.seed = 1;
-    EXPECT_EQ(scriptedDigest(rob80),
-        "ad48821a4075eb04675149f86913852f5be43f8cb6fe905166906fd3dd09e804");
+    constexpr const char *kDigests[] = {
+        "ad48821a4075eb04675149f86913852f5be43f8cb6fe905166906fd3dd09e804",
+        "b0c811c72d4cc793038b4d56b70749a3f35f23a70fb6bf2606a78a21c6cc6d10",
+        "5ea4b4384a2bf1423de64690c0842bb1463eb3ec513728c897397de4130eed63",
+    };
+    const auto configs = scriptedConfigs();
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        EXPECT_EQ(sha256Hex(runScripted(configs[i]).bytes), kDigests[i])
+            << "config " << i;
+}
 
-    SimConfig rob160 = rob80;
-    rob160.robSize = 160;
-    EXPECT_EQ(scriptedDigest(rob160),
-        "b0c811c72d4cc793038b4d56b70749a3f35f23a70fb6bf2606a78a21c6cc6d10");
-
-    SimConfig five = rob80;
-    five.fiveDomainPartition = true;
-    EXPECT_EQ(scriptedDigest(five),
-        "5ea4b4384a2bf1423de64690c0842bb1463eb3ec513728c897397de4130eed63");
+// The INT -> LS, LS -> FP and FP -> LS producers wake entries of
+// parked clusters: the parked run must read the bytes of the per-edge
+// path, which a budget that never trips selects.
+TEST(ParkedDomains, ScriptedStreamMatchesPerEdgeDispatch)
+{
+    for (const SimConfig &cfg : scriptedConfigs()) {
+        const ScriptedRun parked = runScripted(cfg);
+        SimConfig per_edge_cfg = cfg;
+        per_edge_cfg.eventBudget = UINT64_MAX;
+        const ScriptedRun per_edge = runScripted(per_edge_cfg);
+        EXPECT_GT(parked.replayed, 0u) << "ROB " << cfg.robSize;
+        EXPECT_EQ(per_edge.replayed, 0u);
+        EXPECT_EQ(parked.bytes, per_edge.bytes)
+            << "ROB " << cfg.robSize
+            << (cfg.fiveDomainPartition ? ", 5 domains" : ", 4 domains");
+    }
 }
 
 } // namespace
