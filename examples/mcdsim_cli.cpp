@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,10 +27,11 @@ const char usage[] = R"(usage: mcdsim_cli [options]
                         (human output only; not with --scheme fixed)
   --csv                 CSV output (one row per run)
   --json                JSON output (single run only)
-  --list                list benchmark profiles and exit
+  --list                list benchmark profiles and exit (alone)
   --help, -h            print this text and exit
 
-A combination that would ignore a flag is a config error.
+A combination that would ignore a flag, or a flag given twice, is a
+config error.
 
 Run-cache maintenance (store at --cache-dir or MCDSIM_CACHE_DIR):
   mcdsim_cli cache stats [--cache-dir PATH]
@@ -131,10 +133,14 @@ try {
     mcd::RunOptions opts;
     opts.instructions = 600'000;
     bool with_baseline = false;
-    bool csv = false, json = false;
+    bool csv = false, json = false, list = false;
+    std::set<std::string> given;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        // A repeated flag would silently override its first use.
+        if (!given.insert(arg).second)
+            throw mcd::ConfigError(arg, "given more than once");
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
                 mcd::fatal("option '%s' needs a value", arg.c_str());
@@ -155,19 +161,27 @@ try {
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--list") {
-            for (const auto &b : mcd::benchmarkList()) {
-                std::printf("%-12s %-12s %-5s %s\n", b.name.c_str(),
-                            b.suite.c_str(),
-                            b.expectedFastVarying ? "fast" : "slow",
-                            b.description.c_str());
-            }
-            return 0;
+            list = true;
         } else if (arg == "--help" || arg == "-h") {
             std::fputs(usage, stdout);
             return 0;
         } else {
             mcd::fatal("unknown option '%s' (try --help)", arg.c_str());
         }
+    }
+
+    if (list) {
+        // --list runs nothing, so every other flag would be ignored.
+        if (argc > 2)
+            throw mcd::ConfigError("--list",
+                                   "cannot be combined with other options");
+        for (const auto &b : mcd::benchmarkList()) {
+            std::printf("%-12s %-12s %-5s %s\n", b.name.c_str(),
+                        b.suite.c_str(),
+                        b.expectedFastVarying ? "fast" : "slow",
+                        b.description.c_str());
+        }
+        return 0;
     }
 
     const mcd::ControllerKind kind =

@@ -50,6 +50,7 @@
 #include "dvfs/pid_controller.hh"
 #include "exec/exec_profile.hh"
 #include "exec/parallel_runner.hh"
+#include "exec/run.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "spectrum/psd.hh"

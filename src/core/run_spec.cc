@@ -2,8 +2,6 @@
 
 #include "common/digest.hh"
 #include "common/record.hh"
-#include "core/mcd_processor.hh"
-#include "workload/benchmarks.hh"
 
 namespace mcd
 {
@@ -57,14 +55,9 @@ runLabel(RunKind kind, ControllerKind controller)
                                    : runKindName(kind);
 }
 
-namespace
-{
-
-/** The kind-implied overrides, shared by resolveConfig and run(). */
 SimConfig
-resolveConfigParts(RunKind kind, ControllerKind controller,
-                   std::uint64_t seed, const RunOptions &opts,
-                   const std::string &label)
+resolveConfig(RunKind kind, ControllerKind controller, std::uint64_t seed,
+              const RunOptions &opts)
 {
     SimConfig cfg = opts.config;
     cfg.seed = seed;
@@ -90,32 +83,15 @@ resolveConfigParts(RunKind kind, ControllerKind controller,
     // Give fault specs a scheme label to match against (the run
     // label, which is also what reports print).
     if (cfg.faults && cfg.faultScheme.empty())
-        cfg.faultScheme = label;
+        cfg.faultScheme = runLabel(kind, controller);
     return cfg;
 }
-
-} // namespace
 
 SimConfig
 resolveConfig(const RunSpec &spec)
 {
-    return resolveConfigParts(spec.kind, spec.controller, spec.seed,
-                              spec.options,
-                              runLabel(spec.kind, spec.controller));
-}
-
-SimResult
-run(const std::string &benchmark, RunKind kind, ControllerKind controller,
-    std::uint64_t seed, const RunOptions &options)
-{
-    const std::string label = runLabel(kind, controller);
-    const SimConfig cfg =
-        resolveConfigParts(kind, controller, seed, options, label);
-    auto source = makeBenchmark(benchmark, options.instructions, cfg.seed);
-    McdProcessor proc(cfg, *source);
-    SimResult r = proc.run(options.instructions);
-    r.controller = label;
-    return r;
+    return resolveConfig(spec.kind, spec.controller, spec.seed,
+                         spec.options);
 }
 
 std::string

@@ -5,7 +5,7 @@
  * Every way of launching a run — the execution layer's RunTask
  * fan-out (exec/parallel_runner.hh) and the campaign engine
  * (campaign/campaign.hh) built on it — bottoms out in one entry
- * point:
+ * point, declared in exec/run.hh:
  *
  *   SimResult r = mcd::run(spec);
  *
@@ -104,22 +104,9 @@ runLabel(const RunSpec &spec)
  */
 SimConfig resolveConfig(const RunSpec &spec);
 
-/**
- * Execute one run described piecewise (the execution layer's
- * shared-RunOptions hot path — no RunSpec materialization, no extra
- * SimConfig copy beyond the one every run always made).
- */
-SimResult run(const std::string &benchmark, RunKind kind,
-              ControllerKind controller, std::uint64_t seed,
-              const RunOptions &options);
-
-/** Execute one run. The single entry point behind every launcher. */
-inline SimResult
-run(const RunSpec &spec)
-{
-    return run(spec.benchmark, spec.kind, spec.controller, spec.seed,
-               spec.options);
-}
+/** The same, for a run described piecewise (see exec/run.hh). */
+SimConfig resolveConfig(RunKind kind, ControllerKind controller,
+                        std::uint64_t seed, const RunOptions &opts);
 
 /**
  * Deterministic, versioned text rendering of every semantic field

@@ -14,6 +14,7 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "exec/exec_profile.hh"
+#include "exec/pipelined_source.hh"
 #include "fault/fault_plan.hh"
 #include "obs/debug_flags.hh"
 
@@ -192,6 +193,7 @@ ParallelRunner::runOutcomes(const std::vector<RunTask> &tasks) const
     // Tasks go out in index order; outcome i lands in slot i whatever
     // the completion order. runTaskOutcome never throws.
     const auto work = [&] {
+        const WorkerThread counted;
         for (std::size_t i = next.fetch_add(1); i < tasks.size();
              i = next.fetch_add(1)) {
             MCDSIM_TRACE(obs::DebugFlag::Exec, "task %zu: %s", i,
@@ -212,7 +214,10 @@ ParallelRunner::runOutcomes(const std::vector<RunTask> &tasks) const
     // a caller that ran a share of the simulations kept their heap
     // churn in its own malloc arena, which slowed its later
     // allocations (perfbench campaign-cold setup_s, timed on the
-    // calling thread between passes, read 12-22% higher).
+    // calling thread between passes, read 12-22% higher). The
+    // reservation counts every worker before the first starts, so no
+    // early run claims a producer core a later worker needs.
+    const FanOutReservation reservation(workers);
     if (workers <= 1) {
         work();
     } else {

@@ -19,9 +19,13 @@
  *   2. the MCDSIM_JOBS environment variable;
  *   3. std::thread::hardware_concurrency().
  *
- * This is the only place in mcdsim where threads exist; the simulator
- * itself stays single-threaded (tools/lint/determinism_lint.py bans
- * threading primitives outside src/exec/).
+ * Threads exist only in src/exec/: these workers, and the stream
+ * producers of exec/pipelined_source.hh that run() starts when a core
+ * is free. A fan-out reserves its full width against that core budget
+ * before its workers start, so its runs pipeline only when the pool
+ * leaves cores idle. Each simulation still runs on one thread
+ * (tools/lint/determinism_lint.py bans threading primitives outside
+ * src/exec/).
  */
 
 #ifndef MCDSIM_EXEC_PARALLEL_RUNNER_HH
@@ -35,6 +39,7 @@
 
 #include "core/run_spec.hh"
 #include "core/runner.hh"
+#include "exec/run.hh"
 
 namespace mcd
 {
@@ -120,8 +125,9 @@ class ParallelRunner
      * Run every task with per-run isolation; outcomes in task order.
      * min(jobs, tasks) workers each claim the next task index from
      * one atomic counter until the list is done. One worker is the
-     * calling thread, so one job or one task starts no thread; more
-     * run on their own threads while the caller waits. Never throws
+     * calling thread, so one job or one task starts no worker thread
+     * (its runs may still start a stream producer, see exec/run.hh);
+     * more run on their own threads while the caller waits. Never throws
      * for a failing task —
      * failures are returned as RunOutcome rows (runTaskOutcome
      * above), so one poisoned run cannot abort the suite. Outcomes

@@ -18,6 +18,7 @@
 #include "common/error.hh"
 #include "core/report.hh"
 #include "core/run_spec.hh"
+#include "exec/run.hh"
 
 namespace fs = std::filesystem;
 

@@ -4,6 +4,7 @@
 
 #include "campaign/campaign.hh"
 #include "core/run_spec.hh"
+#include "exec/run.hh"
 #include "core/runner.hh"
 
 namespace mcd

@@ -10,7 +10,7 @@ runs `perfbench/run.py --workload W --seed K+i --seconds S --trace 0`
 once in REV's tree ("parent") and once in this checkout ("change"),
 and alternates which side runs first, so a host that drifts during
 the set penalises neither side. Both trees build their own
-.bench_build/ before the first pair.
+.bench_build/ in an untimed smoke run before the first pair.
 
 The report gives, per side, the median and quartiles of
 sim_minst_per_s (simulated Minst/s, higher is better); the ratio of
@@ -25,6 +25,11 @@ median of every other metric the runs printed (`all_metrics`), and the
 metrics whose parent and change values were equal in every pair
 (`equal_in_every_pair`: for the deterministic ones, byte-identity).
 
+A rate bought with a second core shows in `busy_cores`: for every
+perfbench child, the CPU seconds it and its children used (the
+RUSAGE_CHILDREN delta, user plus system) over its wall seconds, and
+the median of those per side.
+
 Exit status: 0 when every run was
 correct, 1 when some run reported a mismatch, 2 on a usage, git or
 build error.
@@ -33,11 +38,13 @@ build error.
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -69,14 +76,22 @@ def extract(commit, work_dir):
         fail("could not extract %s" % commit)
 
 
-def run_side(tree, args, seed):
-    """One perfbench run in @tree: (correct, {metric: value})."""
+def cpu_seconds():
+    """User plus system seconds of every child reaped so far."""
+    u = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return u.ru_utime + u.ru_stime
+
+
+def run_side(tree, args, seed, smoke=False, seconds=None):
+    """One perfbench run in @tree: (correct, {metric: value}, busy cores)."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
-    if args.smoke:
+           "--seconds", str(seconds or args.seconds), "--trace", "0"]
+    if smoke or args.smoke:
         cmd.append("--smoke")
+    cpu0, wall0 = cpu_seconds(), time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
+    busy = (cpu_seconds() - cpu0) / max(time.monotonic() - wall0, 1e-9)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 2 or not lines:
         fail("perfbench failed in %s (exit %d)" % (tree, proc.returncode))
@@ -84,7 +99,7 @@ def run_side(tree, args, seed):
     metrics = {k: float(v["value"]) for k, v in record["metrics"].items()}
     if METRIC not in metrics:
         fail("%s reports no metric %s" % (args.workload, METRIC))
-    return bool(record["correct"]), metrics
+    return bool(record["correct"]), metrics, busy
 
 
 def summary(values):
@@ -116,7 +131,11 @@ def main():
     os.mkdir(parent_tree)
     try:
         extract(commit, parent_tree)
+        # Build both trees outside the timed pairs.
+        for tree in (parent_tree, ROOT):
+            run_side(tree, args, args.first_seed, smoke=True, seconds=1)
         runs = {"parent": [], "change": []}
+        busy = {"parent": [], "change": []}
         ratios = []
         all_correct = True
         for i in range(args.pairs):
@@ -126,15 +145,18 @@ def main():
                 sides.reverse()
             got = {}
             for name, tree in sides:
-                correct, metrics = run_side(tree, args, seed)
+                correct, metrics, cores = run_side(tree, args, seed)
                 all_correct = all_correct and correct
                 runs[name].append(metrics)
+                busy[name].append(cores)
                 got[name] = metrics[METRIC]
             ratios.append(got["change"] / got["parent"]
                           if got["parent"] else float("inf"))
             print("pair %d seed %d first %s: parent %.6g change %.6g "
-                  "ratio %.4f" % (i + 1, seed, sides[0][0], got["parent"],
-                                  got["change"], ratios[-1]), flush=True)
+                  "ratio %.4f, busy cores %.2f / %.2f"
+                  % (i + 1, seed, sides[0][0], got["parent"], got["change"],
+                     ratios[-1], busy["parent"][-1], busy["change"][-1]),
+                  flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -159,6 +181,8 @@ def main():
         "pair_ratios": ratios,
         "median_pair_ratio": statistics.median(ratios),
         "pairs_won": sum(r > 1.0 for r in ratios),
+        "busy_cores": {side: statistics.median(busy[side])
+                       for side in ("parent", "change")},
         "drift": {"parent_first_quarter_median": first,
                   "parent_last_quarter_median": last,
                   "flag": abs(first - last) > p["q3"] - p["q1"]},
@@ -173,8 +197,9 @@ def main():
     }
     for side in ("parent", "change"):
         s = report[side]
-        print("%-6s median %.6g  quartiles [%.6g, %.6g]"
-              % (side, s["median"], s["q1"], s["q3"]))
+        print("%-6s median %.6g  quartiles [%.6g, %.6g]  busy cores %.2f"
+              % (side, s["median"], s["q1"], s["q3"],
+                 report["busy_cores"][side]))
     for name, med in report["all_metrics"].items():
         print("  %-36s parent %-12.6g change %.6g"
               % (name, med["parent"], med["change"]))
