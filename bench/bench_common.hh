@@ -77,10 +77,10 @@ traceOutPath()
 /** @} */
 
 /**
- * @{ Fault-tolerance knobs from `--faults` / `--retries` /
- * `--event-budget` / `--deadline-ms`. faultSpec() starts as the
- * MCDSIM_FAULTS environment value so a spec can be injected into any
- * harness without touching its command line; the flag overrides it.
+ * @{ Fault-tolerance knobs from `--faults` / `--event-budget`.
+ * faultSpec() starts as the MCDSIM_FAULTS environment value so a spec
+ * can be injected into any harness without touching its command line;
+ * the flag overrides it.
  */
 inline std::string &
 faultSpec()
@@ -92,25 +92,11 @@ faultSpec()
     return spec;
 }
 
-inline std::uint32_t &
-retryCount()
-{
-    static std::uint32_t retries = 0;
-    return retries;
-}
-
 inline std::uint64_t &
 eventBudget()
 {
     static std::uint64_t budget = 0;
     return budget;
-}
-
-inline std::uint64_t &
-deadlineMs()
-{
-    static std::uint64_t ms = 0;
-    return ms;
 }
 /** @} */
 
@@ -195,22 +181,11 @@ optionTable()
          [](const std::string &v) { traceOutPath() = v; }},
         {"--faults", "SPEC", "fault plan (overrides MCDSIM_FAULTS)",
          [](const std::string &v) { faultSpec() = v; }},
-        // maxAttempts = 1 + retries must still fit its uint32_t.
-        {"--retries", "N", "extra attempts for a failed run",
-         [](const std::string &v) {
-             retryCount() = static_cast<std::uint32_t>(mcd::parseUint(
-                 v, "--retries",
-                 std::numeric_limits<std::uint32_t>::max() - 1));
-         }},
         {"--event-budget", "N",
          "abort a run after N kernel events (a budget turns off "
          "idle-domain parking)",
          [](const std::string &v) {
              eventBudget() = mcd::parseUint(v, "--event-budget");
-         }},
-        {"--deadline-ms", "N", "wall-clock deadline per run",
-         [](const std::string &v) {
-             deadlineMs() = mcd::parseUint(v, "--deadline-ms");
          }},
         {"--cache", "MODE", "run cache: off, read, or readwrite",
          [](const std::string &v) {
@@ -332,8 +307,8 @@ openRunCache()
  * RunOptions for this harness's runs: @p defaultInsts instructions
  * (MCDSIM_INSTS overrides), plus everything the command line asked
  * for — stats and trace collection for --stats-out / --trace-out, the
- * --faults / MCDSIM_FAULTS plan (a malformed spec is a usage error),
- * --retries, --event-budget and --deadline-ms.
+ * --faults / MCDSIM_FAULTS plan (a malformed spec is a usage error)
+ * and --event-budget.
  */
 inline mcd::RunOptions
 runOptions(std::uint64_t defaultInsts = 600000)
@@ -349,8 +324,6 @@ runOptions(std::uint64_t defaultInsts = 600000)
             argError(programName(), e.site().c_str(), e.context());
         }
     }
-    opts.maxAttempts = 1 + retryCount();
-    opts.wallDeadlineMs = deadlineMs();
     opts.config.eventBudget = eventBudget();
     return opts;
 }
@@ -367,11 +340,11 @@ reportFailures(const mcd::CampaignResult &result)
     for (const auto &run : result.runs) {
         if (run.outcome.ok())
             continue;
-        std::fprintf(stderr, "  %s/%s: %s (attempts=%u) %s\n",
+        std::fprintf(stderr, "  %s/%s: %s %s\n",
                      run.spec.benchmark.c_str(),
                      mcd::runLabel(run.spec).c_str(),
                      mcd::runStatusName(run.outcome.status),
-                     run.outcome.attempts, run.outcome.error.c_str());
+                     run.outcome.error.c_str());
     }
     return 1;
 }

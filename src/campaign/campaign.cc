@@ -31,8 +31,6 @@ statusFromName(const std::string &name)
 {
     if (name == "ok")
         return RunStatus::Ok;
-    if (name == "retried_ok")
-        return RunStatus::RetriedOk;
     if (name == "failed")
         return RunStatus::Failed;
     if (name == "timed_out")
@@ -46,7 +44,6 @@ struct ManifestRow
     std::size_t index = 0;
     std::string digest;
     RunStatus status = RunStatus::Ok;
-    std::uint32_t attempts = 1;
     bool fromCache = false;
     std::string error;
 };
@@ -101,8 +98,11 @@ readManifest(const std::string &path)
             static_cast<std::size_t>(r.parseU64(tok[0], "run", kSizeMax));
         row.digest = r.parseText(tok[1], "run");
         row.status = statusFromName(r.parseText(tok[2], "run"));
-        row.attempts =
-            static_cast<std::uint32_t>(r.parseU64(tok[3], "run", kU32Max));
+        // Every run is one attempt; the field stays until the next
+        // kRunSpecSchemaVersion bump drops it.
+        if (r.parseU64(tok[3], "run", kU32Max) != 1)
+            r.fail("run line " + std::to_string(i) + " has attempts '" +
+                   std::string(tok[3]) + "', expected 1");
         row.fromCache = r.parseU64(tok[4], "run", 1) != 0;
         if (tok.size() == 6)
             row.error = r.parseText(tok[5], "run");
@@ -208,8 +208,6 @@ Campaign::run(const Shard &shard)
         if (cache) {
             if (auto hit = cache->lookup(cr.spec)) {
                 cr.fromCache = true;
-                cr.outcome.status = RunStatus::Ok;
-                cr.outcome.attempts = 1;
                 cr.outcome.result = std::move(*hit);
                 ++out.cached;
                 out.runs.push_back(std::move(cr));
@@ -247,9 +245,8 @@ Campaign::run(const Shard &shard)
             CampaignRun &cr = out.runs[missIndex[k]];
             cr.outcome = std::move(outcomes[k]);
             ++out.executed;
-            // Only first-attempt-clean runs are cacheable facts; a
-            // retried success already proves the environment flaky.
-            if (cache && cr.outcome.status == RunStatus::Ok)
+            // Only completed runs are stored.
+            if (cache && cr.outcome.ok())
                 cache->store(cr.spec, cr.outcome.result);
         }
     }
@@ -281,7 +278,7 @@ writeManifest(const CampaignResult &result, const std::string &path)
         w.fieldU64(cr.index);
         w.fieldText(cr.digest);
         w.fieldText(runStatusName(cr.outcome.status));
-        w.fieldU64(cr.outcome.attempts);
+        w.fieldU64(1); // attempts, until a schema bump drops the field
         w.fieldU64(cr.fromCache ? 1 : 0);
         if (!cr.outcome.error.empty())
             w.fieldText(cr.outcome.error);
@@ -332,7 +329,6 @@ mergeShards(const CampaignSpec &spec,
                           "schema)");
             cr.fromCache = row.fromCache;
             cr.outcome.status = row.status;
-            cr.outcome.attempts = row.attempts;
             cr.outcome.error = row.error;
             if (runSucceeded(row.status)) {
                 auto hit = cache.lookup(cr.spec);
@@ -393,14 +389,12 @@ comparisonRows(const CampaignSpec &spec, const CampaignResult &result)
                          ? label + "#s" + std::to_string(seed)
                          : std::move(label);
         row.status = run.outcome.status;
-        row.attempts = run.outcome.attempts;
         row.error = run.outcome.error;
         row.result = run.outcome.result;
         if (run.outcome.ok() && base.outcome.ok()) {
             row.vsBaseline = compare(row.result, base.outcome.result);
         } else if (run.outcome.ok()) {
             row.status = base.outcome.status;
-            row.attempts = base.outcome.attempts;
             row.error = "mcd-baseline: " + base.outcome.error;
         }
         return row;

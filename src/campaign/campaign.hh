@@ -14,10 +14,10 @@
  *      invocations with --shard 1/N .. N/N partition the campaign
  *      with no coordination;
  *   2. cache hits are served before any worker starts (and recorded
- *      as such), misses fan out through ParallelRunner's retry /
+ *      as such), misses fan out through ParallelRunner's
  *      fault-isolation machinery;
- *   3. first-attempt-clean results are stored back, so a re-run — or
- *      a crashed campaign restarted — skips everything already done.
+ *   3. completed results are stored back, so a re-run — or a crashed
+ *      campaign restarted — skips everything already done.
  *
  * Each shard writes a manifest (digest + outcome per run);
  * mergeShards() re-expands the spec, checks the manifests tile the
@@ -130,9 +130,9 @@ class Campaign
 
     /**
      * Run this shard: serve cache hits, execute misses on
-     * ParallelRunner (configuredJobs() workers, full retry / fault /
-     * deadline isolation, each run under its own spec's options),
-     * store first-attempt-clean results back.
+     * ParallelRunner (configuredJobs() workers, per-run fault
+     * isolation, each run under its own spec's options), store
+     * completed results back.
      */
     CampaignResult run(const Shard &shard = Shard{});
 
@@ -143,8 +143,9 @@ class Campaign
 
 /**
  * Write @p result's shard manifest: one line per run (expansion
- * index, digest, status, attempts, cache flag, error). Throws
- * ConfigError at "campaign-manifest" when the file cannot be written.
+ * index, digest, status, attempts (always 1), cache flag, error).
+ * Throws ConfigError at "campaign-manifest" when the file cannot be
+ * written.
  */
 void writeManifest(const CampaignResult &result, const std::string &path);
 

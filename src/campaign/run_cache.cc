@@ -28,7 +28,11 @@ constexpr const char *kEntryTag = "mcdsim-cache-entry-v1";
 std::string
 schemaDirName()
 {
-    return "v" + std::to_string(kRunSpecSchemaVersion);
+    // Appended, not `"v" + std::to_string(...)`: GCC 12 at -O3 warns
+    // -Wrestrict inside that operator+.
+    std::string name = "v";
+    name += std::to_string(kRunSpecSchemaVersion);
+    return name;
 }
 
 /** Read a whole file; nullopt when unreadable or absent. */

@@ -169,10 +169,10 @@ McdProcessor::McdProcessor(const SimConfig &config, WorkloadSource &source)
             }
         }
     }
-    // Fault injection wiring: one injector per attempt, derived from
-    // (seed, attempt), attached to the drivers and the workload
-    // source. Absent entirely when no plan is configured, so the
-    // fault-free run is bit-identical to a build without src/fault/.
+    // Fault injection wiring: one injector per run, derived from the
+    // seed, attached to the drivers and the workload source. Absent
+    // entirely when no plan is configured, so the fault-free run is
+    // bit-identical to a build without src/fault/.
     if (cfg.faults && !cfg.faults->empty()) {
         FaultInjector::Identity id;
         id.benchmark =
@@ -180,7 +180,6 @@ McdProcessor::McdProcessor(const SimConfig &config, WorkloadSource &source)
         id.scheme = cfg.faultScheme.empty() ? controllers[0]->name()
                                             : cfg.faultScheme;
         id.seed = cfg.seed;
-        id.attempt = cfg.faultAttempt;
         faultInj = std::make_unique<FaultInjector>(cfg.faults, id);
         for (std::size_t i = 0; i < 3; ++i)
             drivers[i]->attachFaults(faultInj.get(), i);

@@ -76,8 +76,10 @@ std::string
 comparisonCsvRow(const ComparisonRow &row)
 {
     std::ostringstream os;
+    // Every run is one attempt. The attempts column stays, written as
+    // 1, until the next kRunSpecSchemaVersion bump drops it.
     os << row.benchmark << ',' << row.scheme << ','
-       << runStatusName(row.status) << ',' << row.attempts << ',';
+       << runStatusName(row.status) << ",1,";
     if (runSucceeded(row.status)) {
         os << row.vsBaseline.energySavings << ','
            << row.vsBaseline.perfDegradation << ','

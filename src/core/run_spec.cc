@@ -254,7 +254,9 @@ canonicalText(const RunSpec &spec, std::uint32_t schemaVersion)
     // Fault plan, in canonical form (a fixed point across parses, so
     // key reordering inside a spec string cannot split the key).
     w.text("cfg.faults", cfg.faults ? cfg.faults->canonical() : "-");
-    w.u64("cfg.fault_attempt", cfg.faultAttempt);
+    // Every run is one attempt. The key stays, rendered as 1, so no
+    // digest moves; the next kRunSpecSchemaVersion bump drops it.
+    w.u64("cfg.fault_attempt", 1);
     w.text("cfg.fault_benchmark", cfg.faultBenchmark);
     w.text("cfg.fault_scheme", cfg.faultScheme);
     w.u64("cfg.event_budget", cfg.eventBudget);

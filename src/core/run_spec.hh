@@ -21,13 +21,11 @@
  * specDigest() hashes that text (SHA-256) into the content address
  * the run cache stores results under.
  *
- * Execution policy — retry budget (RunOptions::maxAttempts), wall
- * deadline, and worker count — is deliberately *excluded* from the
- * canonical form: it changes how a run is babysat, never what a
- * completed run computes. Specs carrying host-dependent callables
- * (SimConfig::customController / cancelCheck) have no canonical form
- * for the callable itself, so they are not cacheable(); everything
- * else is.
+ * The worker count is deliberately *excluded* from the canonical
+ * form: it changes where a run executes, never what it computes.
+ * Specs carrying host-dependent callables (SimConfig::customController
+ * / cancelCheck) have no canonical form for the callable itself, so
+ * they are not cacheable(); everything else is.
  *
  * Versioning policy: bump kRunSpecSchemaVersion whenever simulator
  * semantics change in a way that invalidates previously computed

@@ -1,7 +1,7 @@
 /**
  * @file
  * Run options, run status and comparison rows: the vocabulary shared
- * by the one run entry point (mcd::run in core/run_spec.hh), the
+ * by the one run entry point (mcd::run in exec/run.hh), the
  * execution layer's fan-out (exec/parallel_runner.hh) and the
  * campaign engine every harness launches its runs through
  * (campaign/campaign.hh).
@@ -19,8 +19,8 @@
 namespace mcd
 {
 
-/** How to run a simulation: length, seed, observability, isolation
- *  and the SimConfig. Every RunSpec carries its own copy. */
+/** How to run a simulation: length, seed, observability and the
+ *  SimConfig. Every RunSpec carries its own copy. */
 struct RunOptions
 {
     /** Instructions per benchmark run. */
@@ -38,18 +38,6 @@ struct RunOptions
     /** Chrome trace-event collection (src/obs/). */
     obs::TraceConfig trace{};
 
-    /**
-     * Run-isolation knobs, honoured by the execution layer's
-     * outcome-returning paths (exec/parallel_runner.hh): a failed run
-     * is retried with a fresh processor up to maxAttempts times
-     * total, and wallDeadlineMs > 0 cancels a run (SimError at site
-     * "deadline") once it has been executing that long. The wall
-     * deadline depends on host speed — harness mode only; the
-     * deterministic alternative is SimConfig::eventBudget.
-     */
-    std::uint32_t maxAttempts = 1;
-    std::uint64_t wallDeadlineMs = 0;
-
     /** Start from this config (controller field is overridden). */
     SimConfig config{};
 };
@@ -57,20 +45,19 @@ struct RunOptions
 /** How a run ended (graceful-degradation status of one task). */
 enum class RunStatus : std::uint8_t
 {
-    Ok,        ///< completed on the first attempt
-    RetriedOk, ///< completed after at least one failed attempt
-    Failed,    ///< every attempt failed
-    TimedOut,  ///< stopped by the event budget or wall deadline
+    Ok,       ///< completed
+    Failed,   ///< threw
+    TimedOut, ///< stopped by the event budget or the cancel check
 };
 
-/** Report spelling: "ok", "retried_ok", "failed", "timed_out". */
+/** Report spelling: "ok", "failed", "timed_out". */
 const char *runStatusName(RunStatus status);
 
 /** True for the statuses that carry a valid result. */
 inline bool
 runSucceeded(RunStatus status)
 {
-    return status == RunStatus::Ok || status == RunStatus::RetriedOk;
+    return status == RunStatus::Ok;
 }
 
 /** Result of one benchmark under one scheme, with baseline deltas. */
@@ -85,7 +72,6 @@ struct ComparisonRow
      *  ended. result/vsBaseline are meaningful only when
      *  runSucceeded(status). */
     RunStatus status = RunStatus::Ok;
-    std::uint32_t attempts = 1;
     std::string error;
 };
 

@@ -169,16 +169,9 @@ struct SimConfig
      * Deterministic fault plan, or null (the default — no injection,
      * zero overhead: every hook is behind one null-pointer branch).
      * The plan is shared immutable state; per-run randomness is
-     * derived from (seed, faultAttempt) inside the processor.
+     * derived from the seed inside the processor.
      */
     std::shared_ptr<const FaultPlan> faults;
-
-    /**
-     * Which execution attempt this run is (1-based). Retries get a
-     * fresh attempt number so their fault streams differ and
-     * attempt-limited specs ("attempts=1") stop firing.
-     */
-    std::uint32_t faultAttempt = 1;
 
     /**
      * Run labels the fault plan matches bench=/scheme= filters
@@ -200,8 +193,9 @@ struct SimConfig
     /**
      * Opt-in cancellation poll, checked every few thousand events;
      * returning true aborts the run with SimError at site "deadline".
-     * The callable may consult a wall clock (it runs in exec-layer
-     * code); results then depend on host speed, so harness mode only.
+     * The callable may consult a wall clock (perfbench's exec probe
+     * does); results then depend on host speed, so such runs are never
+     * cached (cacheable() in core/run_spec.hh).
      */
     std::function<bool()> cancelCheck;
 

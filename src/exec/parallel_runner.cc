@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -72,101 +71,37 @@ setConfiguredJobs(std::size_t jobs)
     jobsOverride.store(jobs);
 }
 
-namespace
-{
-
-/**
- * Deterministic busy loop for the task-slow fault: burns a fixed
- * amount of work independent of compiler and host, so the injected
- * delay scales with spin count everywhere.
- */
-void
-spinFor(std::uint64_t iterations)
-{
-    volatile std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < iterations; ++i)
-        acc = acc + i;
-    (void)acc;
-}
-
-} // namespace
-
 RunOutcome
 runTaskOutcome(const RunTask &task)
 {
     const RunOptions &opts = *task.opts;
-    const std::uint32_t max_attempts =
-        std::max<std::uint32_t>(1, opts.maxAttempts);
     const FaultPlan *plan = opts.config.faults.get();
     const std::string label = runLabel(task.kind, task.controller);
 
     RunOutcome out;
-    out.attempts = 0;
-    for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-        ++out.attempts;
-        try {
-            // Exec-level fault sites, evaluated against the run label
-            // before the simulator is even built.
-            if (plan) {
-                if (const FaultSpec *slow = plan->taskFault(
-                        FaultSite::TaskSlow, task.benchmark, label,
-                        attempt)) {
-                    spinFor(slow->spin);
-                }
-                if (plan->taskFault(FaultSite::TaskThrow, task.benchmark,
-                                    label, attempt)) {
-                    throw ExecError("task-throw",
-                                    "injected task failure for " +
-                                        task.benchmark + "/" + label +
-                                        " attempt " +
-                                        std::to_string(attempt));
-                }
-            }
-
-            // The common path runs on the caller's immutable options;
-            // only a retry or a wall deadline needs a private copy
-            // (fresh attempt number for the fault streams, and a
-            // per-run cancel callback).
-            std::optional<RunOptions> private_opts;
-            if (attempt > 1 || opts.wallDeadlineMs > 0) {
-                private_opts.emplace(opts);
-                private_opts->config.faultAttempt = attempt;
-                if (opts.wallDeadlineMs > 0) {
-                    const auto deadline =
-                        ProfClock::now() + // lint:allow(no-wallclock)
-                        std::chrono::milliseconds(opts.wallDeadlineMs);
-                    private_opts->config.cancelCheck = [deadline] {
-                        return ProfClock::now() >= // lint:allow(no-wallclock)
-                               deadline;
-                    };
-                }
-            }
-            out.result = run(task.benchmark, task.kind, task.controller,
-                             task.seed, private_opts ? *private_opts : opts);
-
-            out.status =
-                attempt > 1 ? RunStatus::RetriedOk : RunStatus::Ok;
-            out.error.clear();
-            return out;
-        } catch (const SimError &e) {
-            out.error = e.what();
-            out.status = (e.site() == "event-budget" ||
-                          e.site() == "deadline")
-                             ? RunStatus::TimedOut
-                             : RunStatus::Failed;
-        } catch (const std::exception &e) {
-            out.error = e.what();
-            out.status = RunStatus::Failed;
-        } catch (...) {
-            out.error = "unknown exception";
-            out.status = RunStatus::Failed;
-        }
-        MCDSIM_TRACE(obs::DebugFlag::Exec,
-                     "task %s/%s attempt %u failed: %s",
-                     task.benchmark.c_str(), label.c_str(), attempt,
-                     out.error.c_str());
+    try {
+        // The exec-level fault site, evaluated against the run label
+        // before the simulator is even built.
+        if (plan && plan->taskThrows(task.benchmark, label))
+            throw ExecError("task-throw", "injected task failure for " +
+                                              task.benchmark + "/" + label);
+        out.result = run(task.benchmark, task.kind, task.controller,
+                         task.seed, opts);
+        return out;
+    } catch (const SimError &e) {
+        out.error = e.what();
+        out.status = (e.site() == "event-budget" || e.site() == "deadline")
+                         ? RunStatus::TimedOut
+                         : RunStatus::Failed;
+    } catch (const std::exception &e) {
+        out.error = e.what();
+        out.status = RunStatus::Failed;
+    } catch (...) {
+        out.error = "unknown exception";
+        out.status = RunStatus::Failed;
     }
-    out.result = SimResult{};
+    MCDSIM_TRACE(obs::DebugFlag::Exec, "task %s/%s failed: %s",
+                 task.benchmark.c_str(), label.c_str(), out.error.c_str());
     return out;
 }
 

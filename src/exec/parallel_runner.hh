@@ -62,14 +62,13 @@ struct RunTask
 };
 
 /**
- * One task's outcome under graceful degradation: status, how many
- * attempts it took, and the error text of the last failed attempt.
- * result is meaningful only when runSucceeded(status).
+ * One task's outcome under graceful degradation: status and, for a
+ * run that did not complete, its error text. result is meaningful
+ * only when runSucceeded(status).
  */
 struct RunOutcome
 {
     RunStatus status = RunStatus::Ok;
-    std::uint32_t attempts = 1;
     std::string error;
     SimResult result;
 
@@ -77,13 +76,10 @@ struct RunOutcome
 };
 
 /**
- * Execute one task in this thread with isolation: exec-level fault
- * sites (task-throw, task-slow from the options' fault plan), bounded
- * retry (RunOptions::maxAttempts, fresh McdProcessor and fresh fault
- * streams per attempt), the opt-in wall deadline
- * (RunOptions::wallDeadlineMs), and every exception mapped to a
- * RunOutcome instead of propagating. SimError at sites
- * "event-budget" / "deadline" becomes RunStatus::TimedOut.
+ * Execute one task, once, in this thread with isolation: the
+ * exec-level task-throw site of the options' fault plan, and every
+ * exception mapped to a RunOutcome instead of propagating. SimError
+ * at sites "event-budget" / "deadline" becomes RunStatus::TimedOut.
  * task.opts must be non-null (runOutcomes() checks every task).
  */
 RunOutcome runTaskOutcome(const RunTask &task);

@@ -29,19 +29,20 @@ FaultInjector::FaultInjector(std::shared_ptr<const FaultPlan> plan,
     if (!_plan)
         return;
 
-    // Every stream descends from (seed, attempt), then forks per
-    // (spec index, domain): spec order and domain index fully
-    // determine a stream, so concurrent runs and plan edits can never
-    // shift another spec's sequence.
-    const Rng attemptBase =
-        Rng(_id.seed).fork(0xFA171000ull + _id.attempt);
+    // Every stream descends from the seed, then forks per (spec
+    // index, domain): spec order and domain index fully determine a
+    // stream, so concurrent runs and plan edits can never shift
+    // another spec's sequence. The "+ 1" is the attempt number runs
+    // once had; it stays, so no injected sequence moves, until the
+    // next kRunSpecSchemaVersion bump drops it.
+    const Rng runBase = Rng(_id.seed).fork(0xFA171000ull + 1);
 
     const auto &specs = _plan->specs();
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const FaultSpec &fs = specs[i];
-        if (fs.site == FaultSite::TaskThrow || fs.site == FaultSite::TaskSlow)
+        if (fs.site == FaultSite::TaskThrow)
             continue; // exec-level: handled by ParallelRunner
-        if (!fs.matchesRun(_id.benchmark, _id.scheme, _id.attempt))
+        if (!fs.matchesRun(_id.benchmark, _id.scheme))
             continue;
 
         Arm arm;
@@ -50,7 +51,7 @@ FaultInjector::FaultInjector(std::shared_ptr<const FaultPlan> plan,
             const std::uint64_t key =
                 ((i + 1) << 16) |
                 (static_cast<std::uint64_t>(fs.site) << 8) | dom;
-            arm.rng[dom] = attemptBase.fork(key);
+            arm.rng[dom] = runBase.fork(key);
         }
         _bySite[static_cast<std::size_t>(fs.site)].push_back(_arms.size());
         _arms.push_back(std::move(arm));
@@ -175,8 +176,11 @@ void
 FaultInjector::registerStats(obs::StatsRegistry &reg,
                              const std::string &prefix) const
 {
+    // Every run is one attempt. The stat stays, reporting 1, because
+    // cached statsText carries it; the next kRunSpecSchemaVersion bump
+    // drops it.
     reg.addIntCallback(prefix + ".attempt", "run attempt number",
-                       [this] { return _id.attempt; });
+                       [] { return std::uint64_t{1}; });
     bool present[numFaultSites] = {};
     for (const Arm &arm : _arms)
         present[static_cast<std::size_t>(arm.spec->site)] = true;

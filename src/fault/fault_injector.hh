@@ -2,10 +2,10 @@
  * @file
  * Deterministic per-run fault injection.
  *
- * A FaultInjector is instantiated once per simulation attempt from a
+ * A FaultInjector is instantiated once per simulation run from a
  * shared immutable FaultPlan plus the run's Identity (benchmark,
- * scheme, seed, attempt number). All randomness comes from Rng
- * streams forked per (spec, domain) at construction, so
+ * scheme, seed). All randomness comes from Rng streams forked per
+ * (spec, domain) at construction, so
  *
  *   - two runs with the same identity and plan inject byte-identical
  *     fault sequences regardless of --jobs or host;
@@ -41,7 +41,7 @@ namespace obs
 class StatsRegistry;
 }
 
-/** Seeded, deterministic fault injection for one simulation attempt. */
+/** Seeded, deterministic fault injection for one simulation run. */
 class FaultInjector
 {
   public:
@@ -51,7 +51,6 @@ class FaultInjector
         std::string benchmark = "*";
         std::string scheme = "*";
         std::uint64_t seed = 1;
-        std::uint32_t attempt = 1;
     };
 
     FaultInjector(std::shared_ptr<const FaultPlan> plan, Identity id);
@@ -85,7 +84,7 @@ class FaultInjector
 
     // ---- Accounting ---------------------------------------------
 
-    /** Faults injected at @p site so far this attempt. */
+    /** Faults injected at @p site so far this run. */
     std::uint64_t injectedCount(FaultSite site) const
     {
         return _injected[static_cast<std::size_t>(site)];
@@ -97,7 +96,8 @@ class FaultInjector
     /**
      * Register counters under @p prefix: one
      * "<prefix>.<site_with_underscores>_injected" int callback per
-     * sim-level site present in the plan, plus "<prefix>.attempt".
+     * sim-level site present in the plan, plus "<prefix>.attempt"
+     * (always 1).
      */
     void registerStats(obs::StatsRegistry &reg,
                        const std::string &prefix) const;

@@ -24,7 +24,6 @@ constexpr SiteInfo siteTable[numFaultSites] = {
     {"delay-update", FaultSite::DelayUpdate},
     {"clamp-vf", FaultSite::ClampVf},
     {"task-throw", FaultSite::TaskThrow},
-    {"task-slow", FaultSite::TaskSlow},
 };
 
 std::string
@@ -124,14 +123,10 @@ faultSiteName(FaultSite site)
 }
 
 bool
-FaultSpec::matchesRun(const std::string &bench, const std::string &sch,
-                      std::uint32_t attempt) const
+FaultSpec::matchesRun(const std::string &bench, const std::string &sch) const
 {
-    if (benchmark != "*" && benchmark != bench)
-        return false;
-    if (scheme != "*" && scheme != sch)
-        return false;
-    return attempts == 0 || attempt <= attempts;
+    return (benchmark == "*" || benchmark == bench) &&
+           (scheme == "*" || scheme == sch);
 }
 
 FaultPlan
@@ -202,16 +197,12 @@ FaultPlan::parse(const std::string &spec)
                 fs.loGhz = parseDouble(key, val);
             } else if (key == "hi") {
                 fs.hiGhz = parseDouble(key, val);
-            } else if (key == "spin") {
-                fs.spin = parseUint(key, val);
             } else if (key == "dom") {
                 fs.domain = parseDomain(val);
             } else if (key == "bench") {
                 fs.benchmark = val;
             } else if (key == "scheme") {
                 fs.scheme = val;
-            } else if (key == "attempts") {
-                fs.attempts = static_cast<std::uint32_t>(parseUint(key, val));
             } else {
                 throw ConfigError("fault-spec", "unknown key '" + key +
                                                     "' for site '" +
@@ -236,11 +227,6 @@ FaultPlan::parse(const std::string &spec)
                 throw ConfigError(
                     "fault-spec",
                     "clamp-vf requires 0 <= lo <= hi with hi > 0");
-            break;
-          case FaultSite::TaskSlow:
-            if (fs.spin == 0)
-                throw ConfigError("fault-spec",
-                                  "task-slow requires spin > 0");
             break;
           default:
             break;
@@ -275,19 +261,17 @@ bool
 FaultPlan::hasSimFaults() const
 {
     return std::any_of(_specs.begin(), _specs.end(), [](const FaultSpec &fs) {
-        return fs.site != FaultSite::TaskThrow &&
-               fs.site != FaultSite::TaskSlow;
+        return fs.site != FaultSite::TaskThrow;
     });
 }
 
-const FaultSpec *
-FaultPlan::taskFault(FaultSite site, const std::string &bench,
-                     const std::string &scheme, std::uint32_t attempt) const
+bool
+FaultPlan::taskThrows(const std::string &bench,
+                      const std::string &scheme) const
 {
-    for (const auto &fs : _specs)
-        if (fs.site == site && fs.matchesRun(bench, scheme, attempt))
-            return &fs;
-    return nullptr;
+    return std::any_of(_specs.begin(), _specs.end(), [&](const FaultSpec &fs) {
+        return fs.site == FaultSite::TaskThrow && fs.matchesRun(bench, scheme);
+    });
 }
 
 std::string
@@ -311,8 +295,6 @@ FaultPlan::canonical() const
             add("lo=" + renderDouble(fs.loGhz));
             add("hi=" + renderDouble(fs.hiGhz));
         }
-        if (fs.site == FaultSite::TaskSlow)
-            add("spin=" + std::to_string(fs.spin));
         if (fs.rate != 1.0)
             add("rate=" + renderDouble(fs.rate));
         if (fs.domain >= 0)
@@ -321,8 +303,6 @@ FaultPlan::canonical() const
             add("bench=" + fs.benchmark);
         if (fs.scheme != "*")
             add("scheme=" + fs.scheme);
-        if (fs.attempts != 0)
-            add("attempts=" + std::to_string(fs.attempts));
         if (!keys.empty())
             out += ':' + keys;
     }

@@ -19,16 +19,12 @@
  *                  DVFS driver
  *   clamp-vf       lo=<GHz> hi=<GHz> [dom=]     requested targets are
  *                  clamped into [lo, hi] at the driver
- *   task-throw     [bench=] [scheme=] [attempts=]  the matching run
- *                  throws ExecError before simulating
- *   task-slow      spin=<iters> [bench=] [scheme=] [attempts=]  the
- *                  matching run burns a deterministic busy loop first
- *                  (pairs with the opt-in wall-clock deadline)
+ *   task-throw     [bench=] [scheme=]  the matching run throws
+ *                  ExecError before simulating
  *
  * Common keys: rate (probability per opportunity, default 1), dom
  * (int|fp|ls|all, default all), bench/scheme (exact run label or *,
- * default *), attempts (fire only while the run's attempt number is
- * <= this; 0 = every attempt — the knob that makes retries succeed).
+ * default *).
  *
  * Parsing is strict: unknown sites, unknown keys, malformed numbers,
  * and out-of-range values all throw ConfigError. A parsed plan is
@@ -55,10 +51,9 @@ enum class FaultSite : std::uint8_t
     DelayUpdate,
     ClampVf,
     TaskThrow,
-    TaskSlow,
 };
 
-constexpr std::size_t numFaultSites = 6;
+constexpr std::size_t numFaultSites = 5;
 
 /** Spec-string spelling of @p site ("sensor-noise", ...). */
 const char *faultSiteName(FaultSite site);
@@ -81,18 +76,12 @@ struct FaultSpec
     double loGhz = 0.0;
     double hiGhz = 0.0;
 
-    /** task-slow: busy-loop iterations. */
-    std::uint64_t spin = 0;
-
     /** Controlled-domain filter: -1 = all, else 0=INT, 1=FP, 2=LS. */
     int domain = -1;
 
     /** Run matchers ("*" = any). */
     std::string benchmark = "*";
     std::string scheme = "*";
-
-    /** Fire only while attempt <= this; 0 = every attempt. */
-    std::uint32_t attempts = 0;
 
     /** True when this spec applies to controlled domain @p dom. */
     bool
@@ -101,9 +90,9 @@ struct FaultSpec
         return domain < 0 || static_cast<std::size_t>(domain) == dom;
     }
 
-    /** True when this spec applies to the named run/attempt. */
-    bool matchesRun(const std::string &bench, const std::string &sch,
-                    std::uint32_t attempt) const;
+    /** True when this spec applies to the named run. */
+    bool matchesRun(const std::string &bench,
+                    const std::string &sch) const;
 };
 
 /** An immutable, ordered collection of fault specs. */
@@ -128,10 +117,9 @@ class FaultPlan
     /** True when any spec targets a simulation-level site. */
     bool hasSimFaults() const;
 
-    /** First matching exec-level spec for the run, else nullptr. */
-    const FaultSpec *taskFault(FaultSite site, const std::string &bench,
-                               const std::string &scheme,
-                               std::uint32_t attempt) const;
+    /** True when a task-throw spec matches the run. */
+    bool taskThrows(const std::string &bench,
+                    const std::string &scheme) const;
 
     /** Canonical re-rendering of the plan (stable across parses). */
     std::string canonical() const;

@@ -291,6 +291,44 @@ TEST_F(CampaignTest, MergeRejectsForeignManifest)
     EXPECT_THROW(mergeShards(other, {path}, otherCache), ConfigError);
 }
 
+// Every run is one attempt: a manifest that reports a retried run or
+// any attempt count but 1 was not written by this schema's runs.
+TEST_F(CampaignTest, MergeRejectsRetiredStatusAndAttempts)
+{
+    CampaignSpec spec = quickCampaign();
+    spec.benchmarks = {"adpcm_enc"};
+    spec.schemes = {ControllerKind::Adaptive};
+    RunCache cache = makeCache();
+    const std::string good = (dir / "good.txt").string();
+    writeManifest(Campaign(spec, &cache).run(), good);
+    EXPECT_EQ(mergeShards(spec, {good}, cache).failed, 0u);
+
+    std::ifstream in(good, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string text = bytes.str();
+    const std::string okRun = " ok 1 0\n";
+    const auto rejects = [&](const std::string &to,
+                             const std::string &what) {
+        std::string bad = text;
+        const std::size_t pos = bad.find(okRun);
+        ASSERT_NE(pos, std::string::npos) << text;
+        bad.replace(pos, okRun.size(), to);
+        const std::string path = (dir / "bad.txt").string();
+        std::ofstream(path, std::ios::binary) << bad;
+        try {
+            mergeShards(spec, {path}, cache);
+            FAIL() << "merged a manifest with '" << to << "'";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.site(), "campaign-merge");
+            EXPECT_NE(e.context().find(what), std::string::npos)
+                << e.context();
+        }
+    };
+    rejects(" retried_ok 1 0\n", "unknown run status 'retried_ok'");
+    rejects(" ok 2 0\n", "attempts '2', expected 1");
+}
+
 TEST_F(CampaignTest, FailedRunsPropagateThroughManifests)
 {
     CampaignSpec spec = quickCampaign();
@@ -334,7 +372,6 @@ TEST_F(CampaignTest, ManifestBytesArePinned)
     failed.index = 3;
     failed.digest = std::string(64, 'b');
     failed.outcome.status = RunStatus::Failed;
-    failed.outcome.attempts = 2;
     failed.outcome.error = "exec error at task-throw: a\\b\nc";
     result.runs = {hit, failed};
 
@@ -348,7 +385,7 @@ TEST_F(CampaignTest, ManifestBytesArePinned)
               "mcdsim-manifest-v1\nschema=1\ntotal=4\nshard=2/2\nruns=2\n"
               "run=1 " + std::string(64, 'a') + " ok 1 1\n"
               "run=3 " + std::string(64, 'b') +
-                  " failed 2 0 exec error at task-throw: a\\\\b\\nc\n"
+                  " failed 1 0 exec error at task-throw: a\\\\b\\nc\n"
               "end\n");
 }
 

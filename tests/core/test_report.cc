@@ -91,26 +91,21 @@ TEST(Report, ComparisonCsvFailedRowHasEmptyNumericCells)
     row.benchmark = "swim";
     row.scheme = "adaptive";
     row.status = RunStatus::Failed;
-    row.attempts = 3;
     row.error = "exec error at task-throw: injected,\nwith separators";
     const std::string s = comparisonCsvRow(row);
     // Numeric cells stay empty; the error is CSV-sanitized onto one
     // line so the table still parses.
-    EXPECT_NE(s.find("swim,adaptive,failed,3,,,,,,"), std::string::npos);
+    EXPECT_NE(s.find("swim,adaptive,failed,1,,,,,,"), std::string::npos);
     EXPECT_EQ(s.find('\n'), std::string::npos);
     EXPECT_NE(s.find("injected  with separators"), std::string::npos);
 }
 
-TEST(Report, ComparisonCsvRetriedAndTimedOutSpellings)
+TEST(Report, ComparisonCsvTimedOutSpelling)
 {
     ComparisonRow row;
     row.result = sampleResult();
-    row.status = RunStatus::RetriedOk;
-    row.attempts = 2;
-    EXPECT_NE(comparisonCsvRow(row).find(",retried_ok,2,"),
-              std::string::npos);
     row.status = RunStatus::TimedOut;
-    EXPECT_NE(comparisonCsvRow(row).find(",timed_out,"),
+    EXPECT_NE(comparisonCsvRow(row).find(",timed_out,1,"),
               std::string::npos);
 }
 

@@ -109,17 +109,6 @@ TEST(RunSpecCanonical, DigestIgnoresHostParallelism)
     EXPECT_EQ(serial, parallel);
 }
 
-TEST(RunSpecCanonical, DigestIgnoresExecutionPolicy)
-{
-    // Retry budget and wall deadline change how a run is babysat,
-    // never what it computes — same content address.
-    RunSpec spec = baseSpec();
-    const std::string before = specDigest(spec);
-    spec.options.maxAttempts = 5;
-    spec.options.wallDeadlineMs = 1234;
-    EXPECT_EQ(before, specDigest(spec));
-}
-
 TEST(RunSpecCanonical, FaultSpecKeyOrderIsIrrelevant)
 {
     RunSpec a = baseSpec();
@@ -161,7 +150,6 @@ TEST(RunSpecCanonical, EverySemanticFieldMovesTheDigest)
             s.options.config.faults = FaultPlan::parseShared(
                 "task-throw:bench=gzip,scheme=adaptive");
         },
-        [](RunSpec &s) { s.options.config.faultAttempt = 2; },
     };
 
     const std::string base = specDigest(baseSpec());

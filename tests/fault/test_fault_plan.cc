@@ -28,9 +28,8 @@ TEST(FaultPlan, ParsesFullGrammar)
         "drop-update:rate=0.25;"
         "delay-update:samples=3,dom=fp;"
         "clamp-vf:lo=0.5,hi=0.8,dom=ls;"
-        "task-throw:bench=gzip,scheme=adaptive,attempts=2;"
-        "task-slow:spin=1000");
-    ASSERT_EQ(plan.specs().size(), 6u);
+        "task-throw:bench=gzip,scheme=adaptive");
+    ASSERT_EQ(plan.specs().size(), 5u);
 
     const FaultSpec &noise = plan.specs()[0];
     EXPECT_EQ(noise.site, FaultSite::SensorNoise);
@@ -44,19 +43,14 @@ TEST(FaultPlan, ParsesFullGrammar)
     EXPECT_EQ(thr.site, FaultSite::TaskThrow);
     EXPECT_EQ(thr.benchmark, "gzip");
     EXPECT_EQ(thr.scheme, "adaptive");
-    EXPECT_EQ(thr.attempts, 2u);
-    EXPECT_TRUE(thr.matchesRun("gzip", "adaptive", 1));
-    EXPECT_TRUE(thr.matchesRun("gzip", "adaptive", 2));
-    EXPECT_FALSE(thr.matchesRun("gzip", "adaptive", 3));
-    EXPECT_FALSE(thr.matchesRun("swim", "adaptive", 1));
-    EXPECT_FALSE(thr.matchesRun("gzip", "pid-fixed-interval", 1));
+    EXPECT_TRUE(thr.matchesRun("gzip", "adaptive"));
+    EXPECT_FALSE(thr.matchesRun("swim", "adaptive"));
+    EXPECT_FALSE(thr.matchesRun("gzip", "pid-fixed-interval"));
 
     EXPECT_TRUE(plan.hasSimFaults());
     EXPECT_EQ(plan.specsFor(FaultSite::SensorNoise).size(), 1u);
-    EXPECT_NE(plan.taskFault(FaultSite::TaskThrow, "gzip", "adaptive", 1),
-              nullptr);
-    EXPECT_EQ(plan.taskFault(FaultSite::TaskThrow, "swim", "adaptive", 1),
-              nullptr);
+    EXPECT_TRUE(plan.taskThrows("gzip", "adaptive"));
+    EXPECT_FALSE(plan.taskThrows("swim", "adaptive"));
 }
 
 TEST(FaultPlan, WhitespaceAndDefaultsAreForgiving)
@@ -95,14 +89,15 @@ TEST(FaultPlan, RejectsMalformedSpecs)
     reject("delay-update:samples=0");         // zero delay
     reject("clamp-vf:lo=1.0,hi=0.5");         // inverted band
     reject("clamp-vf");                       // hi required
-    reject("task-slow");                      // spin required
-    reject("task-slow:spin=-5");              // negative spin
+    reject("task-slow:spin=1");               // retired site
+    reject("task-throw:attempts=1");          // retired key
+    reject("drop-update:attempts=1");         // retired key
 }
 
 TEST(FaultPlan, CanonicalFormIsStableAcrossReparses)
 {
     const std::string messy =
-        "  task-throw : bench=gzip , attempts=1 ;"
+        "  task-throw : scheme=pid , bench=gzip ;"
         "sensor-noise:rate=0.5,amp=2,dom=int ; clamp-vf:hi=1,lo=0.5 ";
     const FaultPlan plan = FaultPlan::parse(messy);
     const std::string canon = plan.canonical();
@@ -110,7 +105,7 @@ TEST(FaultPlan, CanonicalFormIsStableAcrossReparses)
     EXPECT_EQ(FaultPlan::parse(canon).canonical(), canon);
     // Keys come out in a fixed order with defaults elided.
     EXPECT_EQ(canon,
-              "task-throw:bench=gzip,attempts=1;"
+              "task-throw:bench=gzip,scheme=pid;"
               "sensor-noise:amp=2,rate=0.5,dom=int;"
               "clamp-vf:lo=0.5,hi=1");
 }
@@ -132,7 +127,7 @@ TEST(FaultPlan, SpecOrderIsPreserved)
 TEST(FaultPlan, SiteNamesRoundTrip)
 {
     EXPECT_STREQ(faultSiteName(FaultSite::SensorNoise), "sensor-noise");
-    EXPECT_STREQ(faultSiteName(FaultSite::TaskSlow), "task-slow");
+    EXPECT_STREQ(faultSiteName(FaultSite::TaskThrow), "task-throw");
     for (std::size_t i = 0; i < numFaultSites; ++i) {
         const auto site = static_cast<FaultSite>(i);
         EXPECT_STRNE(faultSiteName(site), "?");

@@ -119,7 +119,6 @@ TEST(RunOutcomes, ByteIdenticalAcrossJobCounts)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].status, parallel[i].status) << i;
-        EXPECT_EQ(serial[i].attempts, parallel[i].attempts) << i;
         EXPECT_EQ(serial[i].error, parallel[i].error) << i;
         if (serial[i].ok()) {
             EXPECT_EQ(serial[i].result.wallTicks,
@@ -146,7 +145,6 @@ TEST(RunOutcomes, NoPlanAndNonMatchingPlanAreByteIdentical)
 
     const RunOutcome nullPlan = runTaskOutcome(task);
     EXPECT_EQ(nullPlan.status, RunStatus::Ok);
-    EXPECT_EQ(nullPlan.attempts, 1u);
 
     RunOptions filtered = smallOpts();
     filtered.config.faults = FaultPlan::parseShared(
@@ -187,7 +185,7 @@ TEST(RunOutcomes, EverySimFaultSiteFires)
     };
     for (std::size_t i = 0; i < numFaultSites; ++i) {
         const std::string site = faultSiteName(static_cast<FaultSite>(i));
-        if (site == "task-throw" || site == "task-slow")
+        if (site == "task-throw")
             continue; // exec-level: fired by the runner, not the model
         const auto spec = specs.find(site);
         if (spec == specs.end()) {
@@ -209,35 +207,6 @@ TEST(RunOutcomes, EverySimFaultSiteFires)
     }
 }
 
-TEST(RunOutcomes, RetryRecoversFromFirstAttemptFault)
-{
-    // attempts=1 confines the injected throw to the first attempt, so
-    // a retry succeeds: the canonical transient-fault scenario.
-    RunOptions opts = smallOpts();
-    opts.maxAttempts = 3;
-    opts.config.faults = FaultPlan::parseShared("task-throw:attempts=1");
-    const RunOutcome out = runTaskOutcome(gzipTask(opts));
-    EXPECT_EQ(out.status, RunStatus::RetriedOk);
-    EXPECT_EQ(out.attempts, 2u);
-    EXPECT_GT(out.result.wallTicks, 0u);
-
-    // The retried result matches a clean run: attempt isolation means
-    // a failed first attempt leaves no residue in the second.
-    const RunOutcome clean = runTaskOutcome(gzipTask(smallOpts()));
-    EXPECT_EQ(out.result.wallTicks, clean.result.wallTicks);
-}
-
-TEST(RunOutcomes, PersistentFaultExhaustsAllAttempts)
-{
-    RunOptions opts = smallOpts();
-    opts.maxAttempts = 2;
-    opts.config.faults = FaultPlan::parseShared("task-throw");
-    const RunOutcome out = runTaskOutcome(gzipTask(opts));
-    EXPECT_EQ(out.status, RunStatus::Failed);
-    EXPECT_EQ(out.attempts, 2u);
-    EXPECT_NE(out.error.find("attempt 2"), std::string::npos);
-}
-
 TEST(RunOutcomes, EventBudgetMapsToTimedOut)
 {
     RunOptions opts = smallOpts();
@@ -248,25 +217,12 @@ TEST(RunOutcomes, EventBudgetMapsToTimedOut)
     EXPECT_FALSE(out.ok());
 }
 
-TEST(RunOutcomes, TaskSlowStillCompletes)
-{
-    RunOptions opts = smallOpts();
-    opts.config.faults = FaultPlan::parseShared("task-slow:spin=10000");
-    const RunOutcome out = runTaskOutcome(gzipTask(opts));
-    EXPECT_EQ(out.status, RunStatus::Ok);
-    // The slow-down is wall-clock only: simulated time is untouched.
-    const RunOutcome clean = runTaskOutcome(gzipTask(smallOpts()));
-    EXPECT_EQ(out.result.wallTicks, clean.result.wallTicks);
-}
-
 TEST(RunOutcomes, RunStatusNamesAreStable)
 {
     EXPECT_STREQ(runStatusName(RunStatus::Ok), "ok");
-    EXPECT_STREQ(runStatusName(RunStatus::RetriedOk), "retried_ok");
     EXPECT_STREQ(runStatusName(RunStatus::Failed), "failed");
     EXPECT_STREQ(runStatusName(RunStatus::TimedOut), "timed_out");
     EXPECT_TRUE(runSucceeded(RunStatus::Ok));
-    EXPECT_TRUE(runSucceeded(RunStatus::RetriedOk));
     EXPECT_FALSE(runSucceeded(RunStatus::Failed));
     EXPECT_FALSE(runSucceeded(RunStatus::TimedOut));
 }

@@ -22,12 +22,8 @@ Two checks, one harness binary per invocation:
                     --fault-sweep harness, whose sweep sets the plan);
                     --faults no-such-site exits 2 before printing
                     anything on stdout;
-                    --faults task-throw:attempts=1 --retries 1 exits 0
-                    with the plain run's stdout (bench_campaign's CSV
-                    reports retried_ok/2 in its status columns; a
-                    --fault-sweep harness injects its own simulation
-                    faults, which a retry re-draws, so only its exit
-                    code is checked);
+                    the retired --retries 1 and --deadline-ms 1000
+                    each exit 2 with nothing on stdout;
                     --event-budget 1 exits 1 with a timed_out run;
                     --stats-out P writes P and P.json.
           analytic  (no simulation) --help works, every flag exits 2.
@@ -54,8 +50,7 @@ DROPPED_RE = re.compile(r"^fault\.drop_update_injected (\d+)", re.MULTILINE)
 # Every flag of the shared option table, with a valid value.
 SIM_FLAGS = [
     ["--jobs", "2"], ["--stats-out", "{tmp}/s"], ["--trace-out", "{tmp}/t"],
-    ["--faults", "task-throw"], ["--retries", "1"],
-    ["--event-budget", "1"], ["--deadline-ms", "1000"],
+    ["--faults", "task-throw"], ["--event-budget", "1"],
     ["--cache", "readwrite"], ["--cache-dir", "{tmp}/c"],
     ["--shard", "2/3"],
 ]
@@ -132,12 +127,14 @@ def check_sim(binary, env, tmp, fault_sweep=False):
         raise Failure("--faults no-such-site printed before it was "
                       "rejected:\n" + unknown.stdout[-2000:])
 
-    retried = run(binary, base + ["--faults", "task-throw:attempts=1",
-                                  "--retries", "1"], env)
-    expect_exit(retried, 0, "--faults task-throw:attempts=1 --retries 1")
-    if not fault_sweep and (retried.stdout.replace(",retried_ok,2,", ",ok,1,")
-                            != plain.stdout):
-        raise Failure("retried runs print different stdout")
+    # Every run is one attempt: the retry and wall-deadline flags are
+    # gone, so they must be rejected, not ignored.
+    for retired in (["--retries", "1"], ["--deadline-ms", "1000"]):
+        proc = run(binary, base + retired, env)
+        expect_exit(proc, 2, " ".join(retired))
+        if proc.stdout:
+            raise Failure(f"{retired[0]} printed before it was "
+                          "rejected:\n" + proc.stdout[-2000:])
 
     budget = run(binary, base + ["--event-budget", "1"], env)
     expect_exit(budget, 1, "--event-budget 1")
